@@ -23,35 +23,43 @@ full row is computed in ``pe_cols``-wide chunks, merged the same way);
 global-token keys are produced once per query by the global PE column and
 excluded from window passes to avoid double counting.
 
-Execution pipeline
-------------------
-Passes are structural — identical across heads and across calls — so the
-default path consumes the plan's memoized
-:class:`~repro.scheduler.compiled.CompiledPlan`: Q/K/V are quantised once
-for all heads, stages 1–5 run as chunked batched einsums over
-``(heads, passes, rows, cols, head_dim)`` padded tensors, and the
-weighted-sum merges replay in precompiled *merge rounds* whose order
-equals the hardware's per-query pass order.  Padding is exact: masked
-cells contribute an exact ``0.0`` to every reduction, so the batched path
-is bit-identical to the legacy per-pass path (``use_compiled=False``),
-which is retained as the reference implementation for the equivalence
-suite.
+Execution paths
+---------------
+The engine has exactly two paths, chosen once at construction:
+
+* **Tiled (production).**  Passes are structural — identical across
+  heads and across calls — so this path consumes the plan's memoized
+  :class:`~repro.scheduler.compiled.CompiledPlan` window jobs: Q/K/V are
+  quantised once for all heads, stages 1 and 5 run as banded GEMMs over
+  lane tiles, stages 2–4 run as one fused epilogue, and the weighted-sum
+  merges replay job chains in the hardware's per-query pass order.  On a
+  quantised datapath every stage-1/5 operand is an integer multiple of a
+  fixed power of two and every partial sum fits the double mantissa
+  (:meth:`Datapath.supports_exact_gemm`), so neither the BLAS
+  accumulation order nor the exact zeros of padding can round: the path
+  is bit-identical to the reference.  It runs whenever that holds and
+  every window job has a regular strided geometry.
+* **Per-pass reference** (``mode="legacy"``).  One head and one tile
+  pass at a time, exactly as the PE array walks the plan.  Everything
+  the tiled path does not cover runs here — in particular every
+  exact-datapath (``HardwareConfig.exact()``) run, whose float sums are
+  order-sensitive.  The equivalence suites pin the tiled path to it bit
+  for bit, and it to the float oracles under exact numerics.
 
 Batch axis (multi-sequence serving)
 -----------------------------------
 :meth:`FunctionalEngine.run` also accepts a leading batch axis
 ``(b, n, heads*head_dim)``: a batch of independent sequences that share
 the same execution plan (the unit the serving layer in
-:mod:`repro.serving` dispatches).  The compiled path folds the batch and
-head axes into a single *lane* axis ``L = b * heads`` — every stage 1–5
-einsum then runs over ``(b·heads, groups, blocks, rows, cols, head_dim)``
-operands and every weighted-sum merge chain is carried per lane.  All
-lane-axis operations are elementwise or reduce only trailing axes, so
-each sequence's arithmetic (summation trees included) is exactly that of
-its own ``b=1`` call: batched outputs are bit-identical to looped
-single-sequence runs (``tests/accelerator/test_batched_equivalence.py``).
-The single-sequence call is simply the ``b=1`` special case with the
-leading axis elided.
+:mod:`repro.serving` dispatches).  The tiled path folds the batch and
+head axes into a single *lane* axis ``L = b * heads`` and carries every
+weighted-sum merge chain per lane.  All lane-axis operations are
+elementwise or exact GEMMs, so each sequence's arithmetic is exactly
+that of its own ``b=1`` call: batched outputs are bit-identical to
+looped single-sequence runs
+(``tests/accelerator/test_batched_equivalence.py``).  The reference path
+simply loops the sequences.  The single-sequence call is the ``b=1``
+special case with the leading axis elided.
 
 Padded tails (cross-length batching)
 ------------------------------------
@@ -76,7 +84,6 @@ characterises the bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -89,11 +96,6 @@ from .datapath import Datapath
 from .weighted_sum import WeightedSumModule
 
 __all__ = ["FunctionalEngine", "FunctionalResult", "EngineError"]
-
-# Per-chunk operand budget (elements) when slicing a window job's block
-# axis: bounds the transient (heads, blocks, rows, cols, head_dim)
-# working set to ~32 MB of float64 per operand.
-_JOB_ELEMENT_BUDGET = 1 << 22
 
 
 class EngineError(RuntimeError):
@@ -224,74 +226,38 @@ class _BatchAccumulator:
 class FunctionalEngine:
     """Executes :class:`ExecutionPlan` instances on (Q, K, V) data.
 
-    ``mode="compiled"`` (default) runs the batched multi-head path over
-    the plan's :class:`~repro.scheduler.compiled.CompiledPlan`;
-    ``mode="legacy"`` runs the per-head, per-pass reference path.  Both
-    produce bit-identical outputs.  At the system level the two modes
-    are the ``"functional"`` and ``"functional-legacy"`` engine backends
+    ``mode="compiled"`` (default) runs the lane-tiled path when the plan
+    supports it (see :attr:`tiled` and the module docstring) and the
+    per-pass reference path otherwise; ``mode="legacy"`` always runs the
+    reference path.  Both produce bit-identical outputs.  At the system
+    level the two modes are the ``"functional"`` and
+    ``"functional-legacy"`` engine backends
     (:data:`repro.core.salo.ENGINE_BACKENDS` / the :mod:`repro.api`
     registry); select them by name there rather than constructing
     engines directly.
-
-    ``use_compiled`` is the deprecated boolean spelling of ``mode``
-    (``True`` -> ``"compiled"``, ``False`` -> ``"legacy"``); it is kept
-    as a shim for existing call sites and overrides ``mode`` when given.
     """
 
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        mode: str = "compiled",
-        use_compiled: Optional[bool] = None,
-        tiled: Optional[bool] = None,
-    ) -> None:
-        if isinstance(mode, bool):
-            # Positional spelling of the old signature:
-            # FunctionalEngine(plan, False) meant use_compiled=False.
-            use_compiled, mode = mode, "compiled"
-        if use_compiled is not None:
-            warnings.warn(
-                "FunctionalEngine(use_compiled=...) is deprecated; use "
-                "mode='compiled'/'legacy' (or the 'functional' / "
-                "'functional-legacy' backends of repro.api)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            mode = "compiled" if use_compiled else "legacy"
+    def __init__(self, plan: ExecutionPlan, mode: str = "compiled") -> None:
         if mode not in ("compiled", "legacy"):
             raise ValueError(f"unknown engine mode {mode!r}; known: compiled, legacy")
         self.plan = plan
         self.mode = mode
-        self.use_compiled = mode == "compiled"  # read by existing call sites
         self.datapath = Datapath(plan.config.numerics)
         self.module = WeightedSumModule(self.datapath)
-        # (id(job), b0, b1) -> key-id tensor for padded-tail masking;
-        # pure plan structure, so cached for the engine's lifetime (the
-        # engine keeps the compiled plan — and its jobs — alive).
-        self._segment_ids_cache: dict = {}
+        #: Whether :meth:`run` takes the lane-tiled path.  Decided once:
+        #: tiling needs a datapath whose stage-1/5 accumulations are
+        #: exact in float64 and a plan whose window jobs all have
+        #: regular strided geometry; anything else runs the reference.
         self.tiled = False
-        if self.use_compiled:
-            # Compile once at construction (memoized on the plan), and
-            # force the lazy execution schedule now: engines always run.
+        if mode == "compiled":
+            # Compile once at construction (memoized on the plan); a
+            # tileable datapath also forces the lazy job schedule now,
+            # so the first run pays no compile.
             cp = plan.compiled()
-            cp.window_jobs
-            # Lane-tiled GEMM execution is only bit-identical when every
-            # stage-1/5 accumulation is exact in float64 (quantised
-            # datapaths within the bit budget); exact datapaths keep the
-            # ordered-einsum path, where summation order is observable.
-            auto = self._supports_tiled(cp)
-            if tiled is None:
-                self.tiled = auto
-            elif tiled and not auto:
-                raise ValueError(
-                    "tiled execution requires a quantised datapath whose "
-                    "stage-1/5 accumulations are exact in float64"
-                )
-            else:
-                self.tiled = bool(tiled)
+            self.tiled = self._supports_tiled(cp) and cp.window_jobs is not None
 
     def _supports_tiled(self, cp) -> bool:
-        """Whether the lane-tiled GEMM path is bit-exact for this plan."""
+        """Whether stage-1/5 GEMMs of this plan are exact in float64."""
         max_cols = cp.pad_rows + cp.pad_cols - 1
         if len(cp.global_tokens):
             max_cols = max(max_cols, len(cp.global_tokens))
@@ -340,11 +306,8 @@ class FunctionalEngine:
             scale = 1.0 / np.sqrt(plan.head_dim)
         lens = self._check_valid_lens(valid_lens, q)
 
-        if self.use_compiled:
-            if self.tiled:
-                return self._run_compiled_tiled(q, k, v, scale, lens)
-            return self._run_compiled(q, k, v, scale, lens)
-
+        if self.tiled:
+            return self._run_tiled(q, k, v, scale, lens)
         if q.ndim == 3:
             # Reference semantics of a batch: independent per-sequence runs.
             results = [
@@ -365,8 +328,8 @@ class FunctionalEngine:
     ) -> Optional[np.ndarray]:
         """Normalise ``valid_lens`` to an int64 ``(b,)`` array (or ``None``).
 
-        All-full lens collapse to ``None`` so the common case stays on
-        the untouched (bit-identical) execution path.
+        All-full lens collapse to ``None`` so the common case skips the
+        padded-tail masks entirely.
         """
         if valid_lens is None:
             return None
@@ -414,76 +377,7 @@ class FunctionalEngine:
         return FunctionalResult(output=out, merges=merges, parts=parts)
 
     # ------------------------------------------------------------------
-    # Compiled batched path
-    # ------------------------------------------------------------------
-    def _run_compiled(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        scale: float,
-        lens: Optional[np.ndarray] = None,
-    ) -> FunctionalResult:
-        plan = self.plan
-        cp = plan.compiled()
-        n, d, heads = plan.n, plan.head_dim, plan.heads
-        batched = q.ndim == 3
-        b = q.shape[0] if batched else 1
-        lanes = b * heads
-        # Per-lane valid lengths: each sequence's heads share its length.
-        lane_lens = None if lens is None else np.repeat(lens, heads)
-        # Quantise once for all lanes; (b?, n, H*d) -> (b*H, n, d).  Every
-        # lane's slab has the same contiguous (n, d) layout a b=1 call
-        # produces, so downstream reductions see identical summation
-        # trees per sequence.
-        qh = np.ascontiguousarray(
-            self.datapath.quantize_input(q)
-            .reshape(b, n, heads, d)
-            .transpose(0, 2, 1, 3)
-            .reshape(lanes, n, d)
-        )
-        kh = np.ascontiguousarray(
-            self.datapath.quantize_input(k)
-            .reshape(b, n, heads, d)
-            .transpose(0, 2, 1, 3)
-            .reshape(lanes, n, d)
-        )
-        vh = np.ascontiguousarray(
-            self.datapath.quantize_input(v)
-            .reshape(b, n, heads, d)
-            .transpose(0, 2, 1, 3)
-            .reshape(lanes, n, d)
-        )
-        acc = _BatchAccumulator(lanes, n, d, self.module)
-
-        for job in cp.window_jobs:
-            self._run_window_job(job, qh, kh, vh, scale, acc, lane_lens)
-        if len(cp.global_tokens):
-            self._run_global_column_batched(cp, qh, kh, vh, scale, acc)
-            self._run_global_rows_batched(cp, qh, kh, vh, scale, acc, lane_lens)
-
-        # Padded query rows (>= a lane's valid length) are sliced away by
-        # the caller and need not receive a part.
-        covered = acc.has
-        if lane_lens is not None:
-            covered = covered | (np.arange(n)[None, :] >= lane_lens[:, None])
-        if not covered.all():
-            missing = np.flatnonzero(~covered.all(axis=0))
-            raise EngineError(
-                f"queries {missing[:8].tolist()}... received no attention part; "
-                "the pattern leaves them without keys"
-            )
-        parts = acc.parts.reshape(b, heads, n)
-        output = np.ascontiguousarray(
-            acc.out.reshape(b, heads, n, d).transpose(0, 2, 1, 3)
-        ).reshape(b, n, heads * d)
-        if not batched:
-            output = output.reshape(n, heads * d)
-            parts = parts.reshape(heads, n)
-        return FunctionalResult(output=output, merges=acc.merges, parts=parts)
-
-    # ------------------------------------------------------------------
-    # Lane-tiled compiled path (quantised datapaths; see _supports_tiled)
+    # Lane-tiled path (quantised datapaths; see _supports_tiled)
     # ------------------------------------------------------------------
     # Stages 1 and 5 run as banded GEMMs: per block the full
     # (R, R + W - 1) score rectangle is one matmul against the segment's
@@ -492,9 +386,9 @@ class FunctionalEngine:
     # datapath every operand is an integer multiple of a fixed power of
     # two and every partial sum fits the double mantissa, so the BLAS
     # accumulation order — and the exact zeros of the rectangle padding —
-    # cannot round: results are bit-identical to the ordered einsums of
-    # the flat path.  All buffers live in the plan's scratch dict, so
-    # warm calls on a cached plan perform no steady-state allocation.
+    # cannot round: results are bit-identical to the per-pass reference.
+    # All buffers live in the plan's scratch dict, so warm calls on a
+    # cached plan perform no steady-state allocation.
 
     @staticmethod
     def _buf(sc: dict, name, shape, dtype=np.float64) -> np.ndarray:
@@ -531,7 +425,7 @@ class FunctionalEngine:
             sc[key] = idx
         return idx
 
-    def _run_compiled_tiled(
+    def _run_tiled(
         self,
         q: np.ndarray,
         k: np.ndarray,
@@ -559,13 +453,8 @@ class FunctionalEngine:
             acc.module = self.module  # scratch follows the engine in use
             acc.reset()
 
-        jobs = cp.window_jobs
         for chain in cp.job_chains:
-            if jobs[chain.jobs[0]].segments is None:  # pragma: no cover - irregular
-                for ji in chain.jobs:
-                    self._run_window_job(jobs[ji], qh, kh, vh, scale, acc, lane_lens)
-            else:
-                self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
+            self._run_chain_tiled(cp, chain, qh, kh, vh, scale, acc, lane_lens)
         if len(cp.global_tokens):
             self._run_global_column_tiled(cp, qh, kh, vh, scale, acc)
             self._run_global_rows_tiled(cp, qh, kh, vh, scale, acc, lane_lens)
@@ -605,8 +494,9 @@ class FunctionalEngine:
     ) -> np.ndarray:
         """Quantised ``(lanes, n, d)`` operand slab in reused storage.
 
-        Same values as the flat path's quantise-then-transpose (the two
-        elementwise steps commute), written through a cached buffer.
+        Same values as the reference path's per-head quantise (the
+        transpose and the elementwise quantiser commute), written through
+        a cached buffer.
 
         ``pad = (head, tail)`` reserves margin rows around the core that
         replicate its first/last row — exactly what a clip-clamped
@@ -704,8 +594,8 @@ class FunctionalEngine:
         order of the schedule.  Chain-local state is *seeded* from the
         accumulator before the first job and committed back by plain
         assignment afterwards, so chains whose queries already carry
-        parts from earlier jobs replay exactly the flat path's
-        sequential merges.
+        parts from earlier jobs replay exactly the per-pass sequential
+        merges.
         """
         sc = cp.scratch
         jobs = [cp.window_jobs[ji] for ji in chain.jobs]
@@ -743,7 +633,7 @@ class FunctionalEngine:
             # Seed the kept cells with the accumulator's current state
             # for these queries (all zeros when no earlier job touched
             # them) so every chain job is a merge against exactly the
-            # state the flat path would see.
+            # state the sequential per-job merges would see.
             if chain.keep_slice is not None:
                 k0, q0 = chain.keep_slice
                 out_run.reshape(lanes, cells, d)[:, k0 : k0 + M] = acc.out[
@@ -981,16 +871,16 @@ class FunctionalEngine:
             validf = None
         lmask = None
         if lane_lens is not None:
-            ids = self._segment_key_ids(job, b0, b1)
+            ids = self._segment_key_ids(sc, job, b0, b1)
             lmask = self._buf(sc, "job_lmask", (Tc, G, Bc, R, C), np.bool_)
             np.less(ids[None], lane_lens[t0:t1, None, None, None, None], out=lmask)
         w = self._buf(sc, "job_w", (Tc, G, Bc, R))
         has = self._buf(sc, "job_has", (Tc, G, Bc, R), np.bool_)
         self._band_epilogue(sc, band, validf, lmask, scale, w, has)
         # Rows the window path never merges (global queries, padding) are
-        # dropped by the flat path before its accumulator call; clearing
-        # their ``has`` excludes them from chain merges, part counts and
-        # the commit identically (their values are discarded either way).
+        # dropped by the reference path before it merges; clearing their
+        # ``has`` excludes them from chain merges, part counts and the
+        # commit identically (their values are discarded either way).
         kmask = sc.get(("keepm", jid, b0, b1))
         if kmask is None:
             kmask = np.ascontiguousarray(job.keep[None, :, b0:b1])
@@ -1171,8 +1061,8 @@ class FunctionalEngine:
 
         One pass per tile over the contiguous band buffer: scale, PWL
         exp, validity masking, row sum, LUT reciprocal and probability
-        quantisation — every step the same elementwise op (or same
-        -order reduction) as the flat path, so bit-identical.  Rows
+        quantisation — every step the same elementwise op (or exact
+        reduction) as the reference path, so bit-identical.  Rows
         without work get a safe reciprocal operand of 1.0; their cells
         are all exact zeros, so the probabilities come out 0 either way.
         """
@@ -1294,103 +1184,19 @@ class FunctionalEngine:
             return
         acc.add_part(rows, out, w, has)  # pragma: no cover - scattered globals
 
-    def _stages_batched(
-        self,
-        qb: np.ndarray,  # (H, ..., d) quantised query rows
-        kb: np.ndarray,  # (H, ..., C, d) keys (views allowed)
-        vb: np.ndarray,  # (H, ..., C, d) values (views allowed)
-        valid: np.ndarray,  # broadcastable to (H, ..., C)
-        scale: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stages 1–5 over an arbitrary batch; returns (out, w, has).
+    @staticmethod
+    def _segment_key_ids(sc: dict, job: WindowJob, b0: int, b1: int) -> np.ndarray:
+        """Key ids aligned with a job chunk's band: ``(G, Bc, R, C)``.
 
-        The contraction axes (``d`` then ``C``) accumulate in the same
-        element order as the legacy per-pass einsums, and masked or
-        workless cells contribute an exact ``0.0`` through every
-        reduction, so results are bit-identical.
+        Cell ``(g, b, r, c)`` holds exactly the sequence index of the key
+        the stage-1 band places there (clipped cells are covered by
+        ``job.valid`` and may carry any id).  Only needed for padded-tail
+        masking; memoized in the plan scratch per (job, chunk) because it
+        is pure plan structure and the serving fast path re-dispatches
+        padded batches on a cached plan.
         """
-        # ``ascontiguousarray`` is required for bit-identity, not speed:
-        # einsum over broadcast operands can return a strided result, and
-        # numpy's pairwise sum reduces strided layouts in a different
-        # association order than the contiguous arrays the reference
-        # engine reduces (a one-ulp difference that quantisation amplifies).
-        s = np.ascontiguousarray(np.einsum("...d,...cd->...c", qb, kb)) * scale
-        e = np.where(valid, self.datapath.exp(s), 0.0)
-        w = e.sum(axis=-1)
-        has = w > 0
-        inv = np.zeros_like(w)
-        if has.any():
-            inv[has] = self.datapath.recip(w[has])
-        probs = self.datapath.quantize_prob(e * inv[..., None])
-        out = self.datapath.quantize_output(np.einsum("...c,...cd->...d", probs, vb))
-        return out, w, has
-
-    def _run_window_job(
-        self,
-        job: WindowJob,
-        qh: np.ndarray,
-        kh: np.ndarray,
-        vh: np.ndarray,
-        scale: float,
-        acc: "_BatchAccumulator",
-        lane_lens: Optional[np.ndarray] = None,
-    ) -> None:
-        """Stages 1–5 + merge for one window-job family.
-
-        Every query appears in at most one (group, block) cell of the
-        job, so the whole family merges with a single vectorised
-        weighted-sum call; job order replays the per-query pass order
-        (see ``scheduler.compiled``).  Memory is bounded by slicing the
-        block axis into chunks.
-        """
-        lanes, _, d = qh.shape
-        rows, cols = job.rows, job.cols
-        num_blocks = job.num_blocks
-        per_block = lanes * job.num_groups * rows * cols * d
-        chunk = max(1, _JOB_ELEMENT_BUDGET // max(1, per_block))
-        for b0 in range(0, num_blocks, chunk):
-            b1 = min(b0 + chunk, num_blocks)
-            qb = qh[:, job.q_safe[:, b0:b1], :]  # (H, G, Bc, R, d)
-            valid = job.valid[None, :, b0:b1]
-            if job.segments is not None:
-                kb = self._segment_views(job, kh, b0, b1)
-                vb = self._segment_views(job, vh, b0, b1)
-                if len(job.segments) == 1:
-                    kv, vv = kb[0], vb[0]
-                else:
-                    # Stage 5 reduces across the packed segments in column
-                    # order, so multi-segment jobs materialise the column
-                    # axis (a structured copy from the small key blocks).
-                    kv = np.concatenate(kb, axis=4)
-                    vv = np.concatenate(vb, axis=4)
-                if lane_lens is not None:
-                    ids = self._segment_key_ids(job, b0, b1)
-                    valid = valid & (ids[None] < lane_lens[:, None, None, None, None])
-            else:  # pragma: no cover - irregular passes (not emitted today)
-                ids = job.safe_key_ids[:, b0:b1]
-                kv = kh[:, ids, :]
-                vv = vh[:, ids, :]
-                if lane_lens is not None:
-                    valid = valid & (ids[None] < lane_lens[:, None, None, None, None])
-            out, w, has = self._stages_batched(qb, kv, vv, valid, scale)
-            sel = job.keep[:, b0:b1]
-            acc.add_part(
-                job.q_ids[:, b0:b1][sel], out[:, sel], w[:, sel], has[:, sel]
-            )
-
-    def _segment_key_ids(self, job: WindowJob, b0: int, b1: int) -> np.ndarray:
-        """Key ids aligned with the segment views: ``(G, Bc, R, C)``.
-
-        Built with the same stride trick as :meth:`_segment_views`, so
-        cell ``(g, b, r, c)`` holds exactly the sequence index of the key
-        the views place there (clipped cells are covered by ``job.valid``
-        and may carry any id).  Only needed for padded-tail masking;
-        memoized per (job, chunk) because it is pure plan structure and
-        the serving fast path re-dispatches padded batches on a cached
-        plan.
-        """
-        cache_key = (id(job), b0, b1)
-        cached = self._segment_ids_cache.get(cache_key)
+        cache_key = ("segids", id(job), b0, b1)
+        cached = sc.get(cache_key)
         if cached is not None:
             return cached
         per_seg = []
@@ -1407,55 +1213,10 @@ class FunctionalEngine:
                 )
             )
         ids = per_seg[0] if len(per_seg) == 1 else np.concatenate(per_seg, axis=3)
-        self._segment_ids_cache[cache_key] = ids
+        sc[cache_key] = ids
         return ids
 
-    @staticmethod
-    def _segment_views(
-        job: WindowJob, xh: np.ndarray, b0: int, b1: int
-    ) -> Tuple[np.ndarray, ...]:
-        """Per-segment ``(L, G, Bc, R, W, d)`` diagonal window views of ``xh``.
-
-        ``L`` is the lane axis (batch x heads).  Each segment gathers one
-        small ``(L, G, len, d)`` block of vectors and exposes the per-cell
-        operands through overlapping strides — mirroring the diagonal k/v
-        forwarding of the PE array, which serves ``rows x cols`` cells
-        from ``rows + cols - 1`` vectors.
-        """
-        lanes, _, d = xh.shape
-        views = []
-        for seg in job.segments:
-            lo = b0 * seg.block_step
-            hi = (b1 - 1) * seg.block_step + job.rows + seg.width - 1
-            block = np.ascontiguousarray(xh[:, seg.gather_ids[:, lo:hi], :])
-            s_h, s_g, s_l, s_d = block.strides
-            views.append(
-                as_strided(
-                    block,
-                    (lanes, job.num_groups, b1 - b0, job.rows, seg.width, d),
-                    (s_h, s_g, seg.block_step * s_l, s_l, s_l, s_d),
-                )
-            )
-        return tuple(views)
-
-    def _run_global_column_batched(self, cp, qh, kh, vh, scale, acc) -> None:
-        """Global PE column: every non-global query attends the global keys."""
-        rows = cp.nonglobal_rows
-        if len(rows) == 0:
-            return
-        gtok = cp.global_tokens
-        qb = qh[:, rows, :]  # (H, r, d)
-        kb = np.broadcast_to(
-            kh[:, gtok, :][:, None, :, :], (qh.shape[0], len(rows), len(gtok), qh.shape[2])
-        )
-        vb = np.broadcast_to(
-            vh[:, gtok, :][:, None, :, :], (qh.shape[0], len(rows), len(gtok), qh.shape[2])
-        )
-        valid = np.ones((1, len(rows), len(gtok)), dtype=bool)
-        out, w, has = self._stages_batched(qb, kb, vb, valid, scale)
-        acc.add_part(rows, out, w, has)
-
-    def _run_global_rows_batched(
+    def _run_global_rows_tiled(
         self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
     ) -> None:
         """Global PE row: each global query attends the full sequence.
@@ -1463,59 +1224,12 @@ class FunctionalEngine:
         The row piggybacks on the key streams of the window passes
         (Section 5.2): each pass contributes its not-yet-seen keys as one
         partial-softmax batch (``ExecutionPlan.global_row_schedule``), so
-        the full row is assembled with the same weighted-sum merges as any
-        split window.  Stages 1–5 of every batch run in one einsum; only
-        the (inherently sequential) merge chain loops.
-        """
-        gtok = cp.global_tokens
-        num_b = cp.global_batches.shape[0]
-        if num_b == 0 or len(gtok) == 0:
-            return
-        heads_n, _, d = qh.shape
-        num_g = len(gtok)
-        # Batches are evaluated bucketed by their true length: padding a
-        # reduction axis with zeros changes numpy's pairwise-summation
-        # tree (exact for the zeros, but regrouping the real terms), so
-        # each batch must reduce over exactly its own keys to stay
-        # bit-identical to the reference engine.
-        out = np.empty((heads_n, num_b, num_g, d), dtype=np.float64)
-        w = np.empty((heads_n, num_b, num_g), dtype=np.float64)
-        has = np.empty((heads_n, num_b, num_g), dtype=bool)
-        lengths = cp.global_batch_valid.sum(axis=1)
-        for length in np.unique(lengths):
-            idx = np.flatnonzero(lengths == length)
-            keys = cp.global_batches[idx, :length]  # (nb, L) no padding
-            qb = np.broadcast_to(
-                qh[:, gtok, :][:, None, :, :], (heads_n, len(idx), num_g, d)
-            )
-            kb = np.broadcast_to(
-                kh[:, keys, :][:, :, None, :, :], (heads_n, len(idx), num_g, length, d)
-            )
-            vb = np.broadcast_to(
-                vh[:, keys, :][:, :, None, :, :], (heads_n, len(idx), num_g, length, d)
-            )
-            if lane_lens is None:
-                valid = np.True_
-            else:
-                # (H, nb, 1, L): mask keys in each lane's padded tail.
-                valid = (keys[None] < lane_lens[:, None, None])[:, :, None, :]
-            o, ww, hh = self._stages_batched(qb, kb, vb, valid, scale)
-            out[:, idx] = o
-            w[:, idx] = ww
-            has[:, idx] = hh
-        self._merge_global_rows(cp, out, w, has, acc)
-
-    def _run_global_rows_tiled(
-        self, cp, qh, kh, vh, scale, acc, lane_lens: Optional[np.ndarray] = None
-    ) -> None:
-        """Global PE row via GEMM + fused epilogue in plan scratch.
-
-        Same length-bucketed batches and merge chain as
-        :meth:`_run_global_rows_batched`; only stages 1–5 differ —
-        gathered contiguous key/value slabs and ``matmul`` replace the
-        broadcast einsums (exact under quantisation, see
-        :meth:`Datapath.supports_exact_gemm`), and the fused epilogue
-        replaces the allocating mask/exp/recip sequence.
+        the full row is assembled with the same weighted-sum merges as
+        any split window.  Batches are bucketed by their true length and
+        each bucket runs as gathered key/value slabs, one ``matmul`` per
+        stage (exact under quantisation, see
+        :meth:`Datapath.supports_exact_gemm`) and the fused epilogue;
+        only the (inherently sequential) merge chain loops.
         """
         gtok = cp.global_tokens
         num_b = cp.global_batches.shape[0]

@@ -3,9 +3,9 @@
 Six backends register on import (``repro.api`` imports this module):
 
 ======================  ============================================
-``functional``          Compiled batched SALO engine (the default).
-``functional-legacy``   Per-pass SALO reference path (previously
-                        spelled ``FunctionalEngine(use_compiled=False)``).
+``functional``          Lane-tiled SALO engine (the default; runs the
+                        reference path where tiling is not bit-exact).
+``functional-legacy``   Per-pass SALO reference path.
 ``systolic``            Cycle-accurate micro-simulator (small configs,
                         one sequence at a time).
 ``dense``               Dense masked-score float64 oracle, with the
@@ -295,13 +295,13 @@ register_backend(
     "functional",
     _salo_factory("functional"),
     _salo_caps("functional"),
-    summary="compiled batched SALO engine (default)",
+    summary="lane-tiled SALO engine (default)",
 )
 register_backend(
     "functional-legacy",
     _salo_factory("functional-legacy"),
     _salo_caps("functional-legacy"),
-    summary="per-pass SALO reference engine (was use_compiled=False)",
+    summary="per-pass SALO reference engine",
 )
 register_backend(
     "systolic",
@@ -309,16 +309,6 @@ register_backend(
     _salo_caps("systolic"),
     summary="cycle-accurate micro-simulator (small configs, single sequence)",
 )
-if "functional-jit" in ENGINE_BACKENDS:  # pragma: no cover - requires numba
-    # Present only when numba imports (see repro.accelerator.jit): the
-    # registry — and therefore ``engines list`` — shows exactly the
-    # backends that can actually run on this interpreter.
-    register_backend(
-        "functional-jit",
-        _salo_factory("functional-jit"),
-        _salo_caps("functional-jit"),
-        summary="numba-fused tiled SALO engine (optional; requires numba)",
-    )
 register_backend(
     "dense",
     lambda config: DenseOracleBackend(),

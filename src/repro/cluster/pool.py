@@ -457,7 +457,11 @@ class CostModelClock(ServiceModel):
         batch_overhead_s: Optional[float] = None,
         cold_compile_s: Optional[float] = None,
     ) -> None:
-        measured_overhead, compile_rate = measured_clock_costs()
+        # Read the snapshot only when a value is actually calibrated from
+        # it: explicit arguments (e.g. ``flat()``) must not depend on it.
+        measured_overhead = compile_rate = None
+        if batch_overhead_s is None or cold_compile_s is None:
+            measured_overhead, compile_rate = measured_clock_costs()
         self._compile_rate_s: Optional[float] = None
         if batch_overhead_s is None:
             batch_overhead_s = (

@@ -17,7 +17,7 @@ tensors and the same cost-model statistics.  :class:`SALO` therefore
 keeps an LRU cache keyed by ``(pattern structure, config, heads,
 head_dim)``; on a hit, :meth:`attend` skips scheduling, plan compilation,
 buffer checking and the cost models entirely and goes straight to the
-batched functional engine — the repeated-traffic scenario a deployed
+plan's cached engine — the repeated-traffic scenario a deployed
 simulator serves.  Different :class:`SALO` instances (e.g. different
 hardware configs) never share cache entries because the config is part
 of the key.  ``plan_cache_size=0`` disables caching; every cacheable
@@ -35,11 +35,12 @@ request → length bucket → batch → engine — and this is its entry point.
 Engine backends
 ---------------
 The execution engine behind :meth:`attend` is selected by name: the
-default ``"functional"`` backend runs the compiled batched path,
-``"functional-legacy"`` runs the per-pass reference path (what
-``FunctionalEngine(use_compiled=False)`` used to spell), and
-``"systolic"`` runs the cycle-accurate micro-simulator (small
-configurations only; no batch axis, no ``valid_lens``).  All three share
+default ``"functional"`` backend runs the lane-tiled path (falling back
+to the per-pass reference path where tiling is not bit-exact, e.g. on
+``HardwareConfig.exact()`` numerics), ``"functional-legacy"`` always
+runs the per-pass reference path, and ``"systolic"`` runs the
+cycle-accurate micro-simulator (small configurations only; no batch
+axis, no ``valid_lens``).  All three share
 the scheduler, the plan cache and the cost models — only the executor
 differs — and all three are bit-identical on their common domain.  The
 :mod:`repro.api` registry builds on this axis and adds the non-SALO
@@ -82,12 +83,6 @@ def _make_systolic(plan: ExecutionPlan):
     return SystolicEngine(plan)
 
 
-def _make_jit(plan: ExecutionPlan):
-    from ..accelerator.jit import JitFunctionalEngine
-
-    return JitFunctionalEngine(plan)
-
-
 #: Plan-executing engine backends a :class:`SALO` instance can run.
 #: name -> (engine factory, supports_batch, supports_valid_lens).  The
 #: :mod:`repro.api` registry derives its SALO-backed adapters (and their
@@ -97,16 +92,6 @@ ENGINE_BACKENDS = {
     "functional-legacy": (_make_legacy, True, True),
     "systolic": (_make_systolic, False, False),
 }
-
-# The numba-fused engine is strictly optional: it only exists (here and
-# in the repro.api registry, which derives from this table) when numba
-# is importable, with the same capability flags as ``functional`` — the
-# parity suite holds it to bit-identity with the rest of the quantised
-# engine group.
-from ..accelerator.jit import HAVE_NUMBA as _HAVE_NUMBA  # noqa: E402
-
-if _HAVE_NUMBA:  # pragma: no cover - requires an image with numba
-    ENGINE_BACKENDS["functional-jit"] = (_make_jit, True, True)
 
 
 def pattern_structure_key(pattern: AttentionPattern) -> Optional[Tuple]:

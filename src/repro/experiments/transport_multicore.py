@@ -66,7 +66,7 @@ def transport_config(
     """One row's cluster config; multiprocess workers pre-warm the
     trace's single pattern family so compiles stay out of the timings."""
     spec = transport_trace_spec(num_requests, seed)
-    warm = tuple((p, spec.heads) for p in pattern_families(spec))
+    warm = tuple((p, spec.heads, spec.head_dim) for p in pattern_families(spec))
     return TransportClusterConfig(
         workers=workers,
         driver=driver,

@@ -356,7 +356,9 @@ class Tensor:
         """Tanh-approximation GELU (as used by BERT/Longformer)."""
         a = self
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (a.data + 0.044715 * a.data**3)
+        # Explicit products: numpy's generic ``pow`` for ``**3`` is several
+        # times slower than two multiplies on the training hot path.
+        inner = c * (a.data + 0.044715 * (a.data * a.data * a.data))
         t = np.tanh(inner)
         out_data = 0.5 * a.data * (1.0 + t)
 

@@ -9,10 +9,9 @@ per head x pass).  :class:`CompiledPlan` performs that derivation exactly
 once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
 
 * padded per-pass tensors — ``q_ids`` ``(P, R)``, ``key_ids`` / ``valid``
-  / ``safe_key_ids`` ``(P, R, C)`` with sequence clipping *and*
-  global-token exclusion baked in, and ``keep`` ``(P, R)`` non-global
-  row masks — consumed by the cost models, ``plan.stats()`` and the
-  engines' fallback path;
+  ``(P, R, C)`` with sequence clipping *and* global-token exclusion
+  baked in, and ``keep`` ``(P, R)`` non-global row masks — consumed by
+  the cost models and ``plan.stats()``;
 * **window jobs** — the pass stream regrouped by
   ``(query group, column group)``.  Within a job every pass shares its
   segment tuple and its query block starts advance uniformly, so each
@@ -24,7 +23,9 @@ once per :class:`~repro.scheduler.plan.ExecutionPlan` and stores:
   first appearance in the pass stream, which preserves the per-query
   weighted-sum merge order (a query receives its parts from the column
   groups of its own block, in block-local order), keeping outputs
-  bit-identical to the per-pass reference engine;
+  bit-identical to the per-pass reference engine.  A plan with an
+  irregular column group (non-contiguous rows or uneven block steps) has
+  no job schedule and runs on the reference path;
 * the global-row batch schedule (padded) shared with the micro-simulator;
 * per-pass aggregates (valid cells, distinct keys, query loads, output
   vectors) reused by the timing/energy/traffic models.
@@ -68,16 +69,10 @@ class WindowJob:
     Query groups of one dilated band share block structure, segment
     widths and strides — only the residue (and hence the gather bases
     and boundary masks) differs — so their passes batch into a single
-    job with a leading *group* axis ``G``: one set of einsums serves
-    every residue class at once.  Queries of different groups in one job
+    job with a leading *group* axis ``G``: one set of GEMMs serves every
+    residue class at once.  Queries of different groups in one job
     are disjoint (distinct residue classes of the same dilation), so the
     whole job still merges with a single weighted-sum call.
-
-    ``segments`` is ``None`` when the member passes are irregular (non
-    contiguous query rows or unevenly spaced blocks); the engine then
-    falls back to gathering ``safe_key_ids``.  The scheduler never emits
-    such passes today, but the fallback keeps the engine correct for any
-    :class:`TilePass` sequence.
     """
 
     pass_indices: np.ndarray  # (G * B,) indices into plan.passes
@@ -89,8 +84,7 @@ class WindowJob:
     q_safe: np.ndarray  # (G, B, R) int64, padding clipped to 0
     valid: np.ndarray  # (G, B, R, C) bool
     keep: np.ndarray  # (G, B, R) bool: rows merged by the window path
-    segments: Optional[Tuple[SegmentStream, ...]]
-    safe_key_ids: Optional[np.ndarray]  # (G, B, R, C) fallback gather ids
+    segments: Tuple[SegmentStream, ...]
 
 
 @dataclass(frozen=True)
@@ -100,11 +94,10 @@ class JobChain:
     Jobs of one chain share ``q_ids`` and ``keep`` bit for bit, so every
     job contributes a part to exactly the same (group, block, row) cells.
     The per-query weighted-sum chain therefore runs on chain-local state:
-    seeded from the accumulator before the first job (all zeros when the
-    chain is *private*, i.e. no earlier job touched its queries),
-    merged job by job in schedule order, and committed back by plain
-    assignment — exactly what the sequential per-job accumulator merges
-    would have left there.
+    seeded from the accumulator before the first job (all zeros when no
+    earlier job touched its queries), merged job by job in schedule
+    order, and committed back by plain assignment — exactly what the
+    sequential per-job accumulator merges would have left there.
 
     ``flat_keep`` / ``flat_q`` are the static commit indices: positions
     of kept cells in the flattened ``(G * B * R)`` cell axis and the
@@ -121,7 +114,6 @@ class JobChain:
     """
 
     jobs: Tuple[int, ...]  # indices into CompiledPlan.window_jobs
-    private: bool
     flat_keep: np.ndarray  # (M,) int64 indices into flattened (G*B*R)
     flat_q: np.ndarray  # (M,) int64 query ids of the kept cells
     wide_ids: Optional[np.ndarray] = None  # (G, L) combined stream key ids
@@ -168,7 +160,7 @@ def _wide_stream(jobs) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]
     non-adjacent columns) returns ``(None, None)`` and the engine falls
     back to per-job gathers.
     """
-    if any(j.segments is None or len(j.segments) != 1 for j in jobs):
+    if any(len(j.segments) != 1 for j in jobs):
         return None, None
     segs = [j.segments[0] for j in jobs]
     step = segs[0].block_step
@@ -191,7 +183,6 @@ def _wide_stream(jobs) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]
 def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
     """Group the job schedule into chains (see :class:`JobChain`)."""
     chains: List[JobChain] = []
-    seen: Optional[np.ndarray] = None  # query ids already covered
     i = 0
     while i < len(jobs):
         a = jobs[i]
@@ -199,9 +190,7 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
         while j < len(jobs):
             b = jobs[j]
             if (
-                a.segments is not None
-                and b.segments is not None
-                and a.q_ids.shape == b.q_ids.shape
+                a.q_ids.shape == b.q_ids.shape
                 and np.array_equal(a.q_ids, b.q_ids)
                 and np.array_equal(a.keep, b.keep)
             ):
@@ -210,10 +199,6 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
                 break
         flat_keep = np.flatnonzero(a.keep.ravel()).astype(np.int64)
         flat_q = a.q_ids.ravel()[flat_keep]
-        private = bool(
-            a.segments is not None
-            and (seen is None or not np.isin(flat_q, seen).any())
-        )
         wide_ids, wide_offsets = _wide_stream(jobs[i:j])
         wide_start: Optional[Tuple[int, ...]] = None
         if wide_ids is not None:
@@ -231,7 +216,6 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
         chains.append(
             JobChain(
                 jobs=tuple(range(i, j)),
-                private=private,
                 flat_keep=flat_keep,
                 flat_q=flat_q,
                 wide_ids=wide_ids,
@@ -242,7 +226,6 @@ def _build_job_chains(jobs, n: int) -> Tuple[JobChain, ...]:
                 keep_slice=keep_slice,
             )
         )
-        seen = flat_q if seen is None else np.union1d(seen, flat_q)
         i = j
     return tuple(chains)
 
@@ -284,9 +267,10 @@ class CompiledPlan:
     global_batches: np.ndarray  # (B, L) int64 padded with -1
     global_batch_valid: np.ndarray  # (B, L) bool
     # -- batched execution schedule (lazy; see window_jobs) ----------
-    _window_jobs: Optional[List[WindowJob]] = field(
+    _window_jobs: Optional[Tuple[WindowJob, ...]] = field(
         default=None, repr=False, compare=False
     )
+    _irregular: bool = field(default=False, repr=False, compare=False)
     _job_chains: Optional[Tuple[JobChain, ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -299,12 +283,18 @@ class CompiledPlan:
 
     # ------------------------------------------------------------------
     @property
-    def window_jobs(self) -> List[WindowJob]:
-        """The engine's execution schedule, built on first use."""
-        if self._window_jobs is None:
-            self._window_jobs = _build_window_jobs(
-                self.plan, self.q_ids, self.key_ids, self.valid, self.keep
-            )
+    def window_jobs(self) -> Optional[Tuple[WindowJob, ...]]:
+        """The tiled engine's execution schedule, built on first use.
+
+        ``None`` when some column group's passes are irregular (non
+        contiguous query rows or unevenly spaced blocks): their key
+        streams have no strided geometry, so the engine runs such plans
+        on its per-pass reference path instead.
+        """
+        if self._window_jobs is None and not self._irregular:
+            jobs = _build_window_jobs(self.plan, self.q_ids, self.valid, self.keep)
+            self._irregular = jobs is None
+            self._window_jobs = jobs
         return self._window_jobs
 
     @property
@@ -326,17 +316,12 @@ class CompiledPlan:
         cfg = self.plan.config
         d = self.head_dim
         rows, cols = job.rows, job.cols
-        widths = (
-            [seg.width for seg in job.segments]
-            if job.segments is not None
-            else [cols]
-        )
         # Per lane, per block: score rectangle + 2 stream gathers per
         # segment, plus band, stage-5 output, queries and the row-shaped
         # epilogue vectors (all float64).
         elems = rows * cols + 2 * rows * d + 6 * rows
-        for w in widths:
-            span = rows + w - 1
+        for seg in job.segments:
+            span = rows + seg.width - 1
             elems += rows * span + 2 * span * d
         per_block = 8 * job.num_groups * elems
         budget = max(int(cfg.tile_bytes), per_block)
@@ -345,14 +330,6 @@ class CompiledPlan:
         if cfg.lane_tile > 0:
             t = max(1, min(lanes, int(cfg.lane_tile)))
         return t, bc
-
-    @property
-    def safe_key_ids(self) -> np.ndarray:
-        """``key_ids`` with masked cells clipped to 0 (branch-free gathers).
-
-        Derived on demand: only the irregular-pass fallback reads it.
-        """
-        return np.where(self.valid, self.key_ids, 0)
 
     @property
     def total_valid_cells(self) -> int:
@@ -419,7 +396,7 @@ def _topo_colgroups(plan: "ExecutionPlan") -> List[Tuple[int, List[List[int]]]]:
 
 
 def _job_geometry(plan: "ExecutionPlan", idxs: List[int]):
-    """(signature, block_step, segment protos) of one colgroup's passes.
+    """(signature, block_step, segment bases) of one colgroup's passes.
 
     ``signature`` is ``None`` for irregular passes (non-contiguous query
     rows or unevenly spaced blocks); otherwise jobs with equal signatures
@@ -449,10 +426,9 @@ def _job_geometry(plan: "ExecutionPlan", idxs: List[int]):
 def _build_window_jobs(
     plan: "ExecutionPlan",
     q_ids: np.ndarray,
-    key_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
-) -> List[WindowJob]:
+) -> Optional[Tuple[WindowJob, ...]]:
     """Batch the pass stream into window-job families (see module docstring).
 
     Within each query group, column groups execute in the group's master
@@ -460,9 +436,9 @@ def _build_window_jobs(
     disjoint residue classes, so within a consecutive run of same
     dilation groups the ``k``-th column groups are independent and
     same-geometry jobs batch into one family — all residue classes of a
-    dilated band execute in a single set of einsums.  Groups of
+    dilated band execute in a single set of GEMMs.  Groups of
     *different* dilations can share queries, so distinct runs stay in
-    group order.
+    group order.  Returns ``None`` when any column group is irregular.
     """
     per_group = _topo_colgroups(plan)
     runs: List[List[List[List[int]]]] = []
@@ -477,7 +453,10 @@ def _build_window_jobs(
     for run in runs:
         num_positions = max((len(g) for g in run), default=0)
         for k in range(num_positions):
-            jobs.extend(_position_families(plan, run, k, q_ids, key_ids, valid, keep))
+            families = _position_families(plan, run, k, q_ids, valid, keep)
+            if families is None:
+                return None
+            jobs.extend(families)
     return tuple(jobs)
 
 
@@ -486,23 +465,24 @@ def _position_families(
     run: List[List[List[int]]],
     k: int,
     q_ids: np.ndarray,
-    key_ids: np.ndarray,
     valid: np.ndarray,
     keep: np.ndarray,
-) -> List[WindowJob]:
-    """Families for position ``k`` of one same-dilation run of groups."""
+) -> Optional[List[WindowJob]]:
+    """Families for position ``k`` of one same-dilation run of groups.
+
+    ``None`` when a member column group is irregular (see
+    :func:`_job_geometry`).
+    """
     n = plan.n
     buckets: dict = {}  # signature -> [(idxs, bases)]
-    singles: List[List[int]] = []
     jobs: List[WindowJob] = []
     for g in run:
         if k >= len(g):
             continue
         sig, step, bases = _job_geometry(plan, g[k])
-        if sig is None:  # pragma: no cover - irregular passes
-            singles.append(g[k])
-        else:
-            buckets.setdefault((sig, step), []).append((g[k], bases))
+        if sig is None:
+            return None
+        buckets.setdefault((sig, step), []).append((g[k], bases))
     for (sig, step), members in buckets.items():
         num_blocks, rows, cols, block_step, seg_sig = sig
         idx_arr = np.asarray([i for idxs, _ in members for i in idxs], dtype=np.int64)
@@ -517,8 +497,8 @@ def _position_families(
             keep[idx_arr][:, :rows].reshape(num_groups, num_blocks, rows)
         )
         streams: List[SegmentStream] = []
-        # Segment order == column order: the engine concatenates the
-        # per-segment views along the column axis in this order.
+        # Segment order == column order: the engine lays the per-segment
+        # bands out along the column axis in this order.
         for s, (width, seg_dil) in enumerate(seg_sig):
             # Key id of group g at (b, r, t):
             # bases[g] + (b*step + r + t)*dil — one stream per group.
@@ -544,31 +524,6 @@ def _position_families(
                 valid=job_valid,
                 keep=job_keep,
                 segments=tuple(streams),
-                safe_key_ids=None,
-            )
-        )
-    for idxs in singles:  # pragma: no cover - irregular passes
-        tps = [plan.passes[i] for i in idxs]
-        num_blocks = len(tps)
-        rows = max(tp.rows_used for tp in tps)
-        cols = tps[0].cols_used
-        idx_arr = np.asarray(idxs, dtype=np.int64)
-        job_q_ids = np.ascontiguousarray(q_ids[idx_arr][:, :rows])[None]
-        jobs.append(
-            WindowJob(
-                pass_indices=idx_arr,
-                num_groups=1,
-                num_blocks=num_blocks,
-                rows=rows,
-                cols=cols,
-                q_ids=job_q_ids,
-                q_safe=job_q_ids.clip(min=0),
-                valid=np.ascontiguousarray(valid[idx_arr][:, :rows, :cols])[None],
-                keep=np.ascontiguousarray(keep[idx_arr][:, :rows])[None],
-                segments=None,
-                safe_key_ids=np.where(
-                    valid[idx_arr][:, :rows, :cols], key_ids[idx_arr][:, :rows, :cols], 0
-                )[None],
             )
         )
     return jobs

@@ -1,16 +1,19 @@
 """Batch axis through the execution stack: bit-identity contracts.
 
 The serving layer batches same-plan sequences into a single engine
-dispatch with a leading batch axis.  Its contract mirrors the compiled
-engine's: a ``b>1`` run must produce exactly the outputs of ``b``
-independent ``b=1`` runs — per pattern family, quantised and exact, on
-the engine, on ``SALO.attend`` and against the legacy per-pass reference.
+dispatch with a leading batch axis.  A ``b>1`` run must produce exactly
+the outputs of ``b`` independent ``b=1`` runs — per pattern family,
+quantised and exact, on the engine and on ``SALO.attend``.  Quantised
+batches run the tiled path and must also equal the per-pass reference
+bit for bit; exact batches run the reference path and must agree with
+the float oracle to round-off.
 """
 
 import numpy as np
 import pytest
 
 from repro.accelerator.functional import EngineError, FunctionalEngine
+from repro.baselines.sparse_reference import masked_attention
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.base import Band
@@ -48,9 +51,10 @@ def _plan_and_batch(pattern, heads=1, head_dim=8, batch=4, quantize=True, seed=0
     return plan, q, k, v
 
 
-def _assert_batch_equals_loop(pattern, **kwargs):
-    plan, q, k, v = _plan_and_batch(pattern, **kwargs)
+def _assert_batch_equals_loop(pattern, quantize=True, **kwargs):
+    plan, q, k, v = _plan_and_batch(pattern, quantize=quantize, **kwargs)
     engine = FunctionalEngine(plan)
+    assert engine.tiled == quantize
     batched = engine.run(q, k, v)
     assert batched.batch == q.shape[0]
     assert batched.output.shape == q.shape
@@ -62,6 +66,17 @@ def _assert_batch_equals_loop(pattern, **kwargs):
         assert np.array_equal(batched.parts[b], single.parts)
         total_merges += single.merges
     assert batched.merges == total_merges
+    if quantize:
+        legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v)
+        assert np.array_equal(batched.output, legacy.output)
+        assert np.array_equal(batched.parts, legacy.parts)
+    else:
+        d = plan.head_dim
+        for b in range(q.shape[0]):
+            for h in range(plan.heads):
+                sl = slice(h * d, (h + 1) * d)
+                ref = masked_attention(q[b][:, sl], k[b][:, sl], v[b][:, sl], pattern)
+                assert np.allclose(batched.output[b][:, sl], ref, atol=1e-9)
     return batched
 
 
@@ -88,7 +103,7 @@ class TestBatchedMatchesLooped:
         assert np.array_equal(batched.output[0], single.output)
 
     def test_batched_legacy_reference(self):
-        """The batched legacy path (per-sequence loop) matches compiled."""
+        """The batched reference path (per-sequence loop) matches tiled."""
         plan, q, k, v = _plan_and_batch(
             HybridSparsePattern(30, [Band(-6, 6, 3)], (0,)), batch=3
         )

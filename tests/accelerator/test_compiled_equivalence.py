@@ -1,14 +1,14 @@
-"""Compiled batched engine: bit-identity and serving-cache contracts.
+"""Functional engine paths: bit-identity, oracle and serving-cache contracts.
 
-The compiled execution path (``FunctionalEngine(plan)``, the default)
-precomputes index tensors once per plan and evaluates stages 1–5 as
-batched einsums over all heads and passes.  Its contract is *bit
-identity*: the batched path must produce exactly the outputs of the
-legacy per-pass reference path (``mode="legacy"``) and — on the
-micro-simulator's parameter space — of the cycle-accurate simulator,
-under both the quantised and the exact datapaths.  These tests pin that
-contract across every pattern family, plus the SALO plan-cache semantics
-(cached compiles on repeated structure, separation across configs).
+The engine has two paths.  On a quantised datapath the default
+``FunctionalEngine(plan)`` runs the lane-tiled path, whose contract is
+*bit identity*: exactly the outputs of the per-pass reference path
+(``mode="legacy"``) and — on the micro-simulator's parameter space — of
+the cycle-accurate simulator.  Exact-datapath runs take the reference
+path, whose contract is agreement with the float oracle to round-off.
+These tests pin both contracts across every pattern family, plus the
+SALO plan-cache semantics (cached compiles on repeated structure,
+separation across configs).
 """
 
 import time
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.accelerator.functional import FunctionalEngine
 from repro.accelerator.systolic import SystolicSimulator
 from repro.accelerator.timing import pass_cycles, plan_timing
+from repro.baselines.sparse_reference import masked_attention
 from repro.core.config import HardwareConfig
 from repro.core.salo import SALO
 from repro.patterns.base import Band
@@ -48,13 +49,41 @@ def _plan_and_data(pattern, heads=1, head_dim=8, rows=4, cols=4, quantize=True, 
 
 
 def _assert_bit_identical(pattern, **kwargs):
+    """Quantised datapath: tiled path == per-pass reference, bit for bit."""
     plan, q, k, v = _plan_and_data(pattern, **kwargs)
-    compiled = FunctionalEngine(plan, mode="compiled").run(q, k, v)
+    engine = FunctionalEngine(plan, mode="compiled")
+    assert engine.tiled
+    tiled = engine.run(q, k, v)
     legacy = FunctionalEngine(plan, mode="legacy").run(q, k, v)
-    assert np.array_equal(compiled.output, legacy.output)
-    assert compiled.merges == legacy.merges
-    assert np.array_equal(compiled.parts, legacy.parts)
-    return compiled
+    assert np.array_equal(tiled.output, legacy.output)
+    assert tiled.merges == legacy.merges
+    assert np.array_equal(tiled.parts, legacy.parts)
+    return tiled
+
+
+def _oracle(pattern, q, k, v, heads, head_dim):
+    """Exact float64 masked attention, head by head."""
+    return np.concatenate(
+        [
+            masked_attention(q[:, sl], k[:, sl], v[:, sl], pattern)
+            for sl in (slice(h * head_dim, (h + 1) * head_dim) for h in range(heads))
+        ],
+        axis=1,
+    )
+
+
+def _assert_matches_oracle(pattern, heads=1, head_dim=8, **kwargs):
+    """Exact datapath: the default engine runs the reference path, which
+    agrees with the float oracle to round-off."""
+    plan, q, k, v = _plan_and_data(
+        pattern, heads=heads, head_dim=head_dim, quantize=False, **kwargs
+    )
+    engine = FunctionalEngine(plan, mode="compiled")
+    assert not engine.tiled
+    out = engine.run(q, k, v)
+    ref = _oracle(pattern, q, k, v, heads, head_dim)
+    assert np.allclose(out.output, ref, atol=1e-9)
+    return out
 
 
 PATTERN_CASES = [
@@ -70,7 +99,7 @@ PATTERN_CASES = [
 
 
 class TestCompiledMatchesLegacy:
-    """Batched path == per-pass path, bit for bit."""
+    """Quantised: tiled == per-pass, bit for bit.  Exact: reference ~ oracle."""
 
     @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
     def test_quantized(self, name, pattern):
@@ -78,7 +107,7 @@ class TestCompiledMatchesLegacy:
 
     @pytest.mark.parametrize("name,pattern", PATTERN_CASES, ids=[c[0] for c in PATTERN_CASES])
     def test_exact(self, name, pattern):
-        _assert_bit_identical(pattern, quantize=False)
+        _assert_matches_oracle(pattern)
 
     def test_multihead(self):
         _assert_bit_identical(longformer_pattern(24, 8, (0,)), heads=3, head_dim=4)
@@ -101,13 +130,12 @@ class TestCompiledMatchesLegacy:
         half = window // 2
         band = Band(-half * dilation, (window - 1 - half) * dilation, dilation)
         pattern = HybridSparsePattern(n, [band], (0,) if use_global else ())
-        _assert_bit_identical(
-            pattern, heads=heads, head_dim=4, rows=rows, cols=cols, quantize=quantize
-        )
+        check = _assert_bit_identical if quantize else _assert_matches_oracle
+        check(pattern, heads=heads, head_dim=4, rows=rows, cols=cols)
 
 
 class TestCompiledMatchesMicroSim:
-    """Batched path == cycle-accurate micro-simulator, bit for bit."""
+    """Tiled path == cycle-accurate micro-simulator, bit for bit."""
 
     @pytest.mark.parametrize(
         "name,pattern",
@@ -204,10 +232,11 @@ class TestPlanCache:
         """Serving scenario: a cache hit runs >= 10x faster than the
         first call, which pays for scheduling + plan compilation + the
         cost models.  A heavily dilated band maximises scheduler work
-        (one residue group per dilation step) while the compiled engine
-        executes all groups as a single window-job family.
+        (one residue group per dilation step) while the tiled engine of
+        the production config executes all groups as a single window-job
+        family.
         """
-        salo = SALO(HardwareConfig().exact())
+        salo = SALO(HardwareConfig())
         pattern = HybridSparsePattern(6144, [Band(-768, 768, 768)], ())
         q, k, v = self._data(6144, 8)
         t0 = time.perf_counter()
@@ -285,7 +314,7 @@ class TestTimingMatchesPassCycles:
 
 
 class TestCompiledEngineFaster:
-    """The batched path beats the per-pass reference on a real workload."""
+    """The tiled path beats the per-pass reference on a real workload."""
 
     def test_medium_longformer_speedup(self):
         plan, q, k, v = _plan_and_data(

@@ -58,17 +58,19 @@ def _outputs(config, pattern, heads=2, head_dim=4):
 class TestOutputParity:
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_exact_datapath_all_backends_agree(self, pattern):
-        """Exact numerics: everything float-tight, engines bitwise.
+        """Exact numerics: the reference path against the float oracles.
 
-        With the quantiser disabled the systolic simulator's scalar
-        summation order differs from the functional engine's vectorised
-        one at the last ulp (the quantised datapath collapses that — see
-        the test below), so the bitwise claim here covers the two
-        functional modes and the rest is round-off-tight.
+        Exact-datapath runs take the engine's per-pass reference path
+        under both functional backends, so those two are bitwise equal
+        by construction.  With the quantiser disabled the systolic
+        simulator's scalar summation order differs from the reference
+        path's at the last ulp (the quantised datapath collapses that —
+        see the test below), and the float oracles use different merge
+        trees, so the rest is round-off-tight.
         """
         outs = _outputs(EXACT_CONFIG, pattern)
-        reference = outs["functional"]
-        assert np.array_equal(reference, outs["functional-legacy"])
+        reference = outs["functional-legacy"]
+        assert np.array_equal(reference, outs["functional"])
         assert np.allclose(reference, outs["systolic"], atol=1e-12)
         for name in ORACLES:
             # Same mathematics, different merge trees: float round-off only.
@@ -76,13 +78,14 @@ class TestOutputParity:
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_quantised_datapath_bit_exact_group_identical(self, pattern):
-        """Default Q8.4 numerics: the hardware-faithful backends cannot
-        diverge from each other by even one bit; the float oracles agree
-        with each other to round-off and with the quantised group to
-        quantisation error."""
+        """Default Q8.4 numerics: the hardware-faithful backends — the
+        tiled ``functional`` path, the per-pass reference and the
+        micro-simulator — cannot diverge from each other by even one
+        bit; the float oracles agree with each other to round-off and
+        with the quantised group to quantisation error."""
         outs = _outputs(QUANT_CONFIG, pattern)
-        reference = outs[BIT_EXACT[0]]
-        for name in BIT_EXACT[1:]:
+        reference = outs["functional-legacy"]
+        for name in BIT_EXACT:
             assert np.array_equal(reference, outs[name]), name
         assert np.allclose(outs["dense"], outs["sparse-reference"], atol=1e-11)
         for name in ORACLES:

@@ -190,33 +190,22 @@ class TestClusterThreading:
         assert fifo.goodput_rps == legacy.goodput_rps
 
 
-class TestUseCompiledShim:
-    """The retired use_compiled kwarg keeps working, with a warning."""
+class TestEngineMode:
+    """The engine's only knob is ``mode``: compiled (default) or legacy."""
 
     def _plan(self):
         salo = SALO(HardwareConfig(pe_rows=4, pe_cols=4), strict_global_bound=False)
         return salo.schedule(longformer_pattern(16, 4, (0,)), heads=1, head_dim=8)
 
-    @pytest.mark.parametrize("flag,mode", [(True, "compiled"), (False, "legacy")])
-    def test_shim_maps_and_warns(self, flag, mode):
+    def test_constructor_takes_plan_and_mode_only(self):
+        import inspect
+
         from repro.accelerator.functional import FunctionalEngine
 
-        plan = self._plan()
-        with pytest.warns(DeprecationWarning, match="use_compiled"):
-            engine = FunctionalEngine(plan, use_compiled=flag)
-        assert engine.mode == mode
-        assert engine.use_compiled is flag  # attribute kept for readers
-
-    def test_positional_bool_still_selects_legacy(self):
-        """The pre-redesign positional spelling FunctionalEngine(plan, False)."""
-        from repro.accelerator.functional import FunctionalEngine
-
-        with pytest.warns(DeprecationWarning, match="use_compiled"):
-            engine = FunctionalEngine(self._plan(), False)
-        assert engine.mode == "legacy"
-        with pytest.warns(DeprecationWarning, match="use_compiled"):
-            engine = FunctionalEngine(self._plan(), True)
-        assert engine.mode == "compiled"
+        params = list(inspect.signature(FunctionalEngine.__init__).parameters)
+        assert params == ["self", "plan", "mode"]
+        assert FunctionalEngine(self._plan()).mode == "compiled"
+        assert FunctionalEngine(self._plan(), mode="legacy").tiled is False
 
     def test_unknown_mode_rejected(self):
         from repro.accelerator.functional import FunctionalEngine

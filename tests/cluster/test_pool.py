@@ -220,6 +220,22 @@ class TestServiceClocks:
         warm = clock.service_s(worker, batch, cold=False)
         assert cold - warm == pytest.approx(2.0)
 
+    def test_flat_clock_never_reads_the_bench_snapshot(self, monkeypatch):
+        """``flat()`` pins both values, so building it must not read
+        BENCH_engines.json (nor schedule the compile bench's plan)."""
+        import repro.cluster.pool as pool_module
+
+        def forbidden():
+            raise AssertionError("flat() consulted measured_clock_costs")
+
+        monkeypatch.setattr(pool_module, "measured_clock_costs", forbidden)
+        clock = CostModelClock.flat()
+        assert clock.batch_overhead_s == pytest.approx(2e-5)
+        assert clock.cold_compile_s == pytest.approx(5e-4)
+        # Only a value left to calibration triggers the snapshot read.
+        with pytest.raises(AssertionError, match="measured_clock_costs"):
+            CostModelClock(cold_compile_s=1.0)
+
     def test_measured_clock_executes_and_times(self):
         from repro.cluster import Worker
 

@@ -32,8 +32,10 @@ class TestConfig:
     def test_multiprocess_rows_pre_warm_the_trace_family(self):
         config = transport_config("multiprocess", 2, 8)
         assert len(config.warm) == 1  # unmixed trace: one pattern family
-        pattern, heads = config.warm[0]
-        assert pattern.n == 512 and heads == 4
+        pattern, heads, head_dim = config.warm[0]
+        # The warm spec matches the trace's own head layout, so the
+        # warmed plan is the one the traffic looks up.
+        assert pattern.n == 512 and heads == 4 and head_dim == 16
         assert transport_config("inprocess", 1, 8).warm == ()
 
     def test_trace_is_deterministic(self):

@@ -49,7 +49,7 @@ def _config(driver, **overrides):
         max_batch_size=4,
         heartbeat_interval_s=0.01,
         heartbeat_timeout_s=2.0,
-        warm=((PATTERN, 2),) if driver == "multiprocess" else (),
+        warm=((PATTERN, 2, 8),) if driver == "multiprocess" else (),
     )
     defaults.update(overrides)
     return TransportClusterConfig(**defaults)

@@ -39,7 +39,7 @@ class TestRoundTrip:
         reference = Runtime(backend="functional").attend(
             req.pattern, req.q, req.k, req.v, heads=req.heads
         )
-        with MultiprocessTransport(warm=((PATTERN, 2),)) as transport:
+        with MultiprocessTransport(warm=((PATTERN, 2, 8),)) as transport:
             transport.submit(req)
             (completion,) = _poll_until(transport, 1)
         assert completion.ok
@@ -60,11 +60,25 @@ class TestRoundTrip:
             assert ok.ok
 
     def test_probe_and_cache_info_round_trip(self):
-        with MultiprocessTransport(warm=((PATTERN, 2),)) as transport:
+        with MultiprocessTransport(warm=((PATTERN, 2, 8),)) as transport:
             assert transport.alive
             assert transport.probe(timeout_s=5.0)
             info = transport.cache_info()
             assert info["misses"] >= 1  # the warm-up compile registered
+
+    def test_warm_head_dim_matches_traffic(self):
+        """Warming at the traffic's head_dim leaves the first real batch
+        a plan-cache hit: the worker's miss count does not move."""
+        req = _request(hidden=32, heads=2)  # head_dim 16
+        with MultiprocessTransport(warm=((PATTERN, 2, 16),)) as transport:
+            before = transport.cache_info()
+            transport.submit(req)
+            (completion,) = _poll_until(transport, 1)
+            assert completion.ok
+            after = transport.cache_info()
+        assert before["misses"] == 1
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + 1
 
 
 class TestCrashSemantics:
