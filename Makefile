@@ -40,16 +40,21 @@
 #                  in a hard `timeout` so a wedged worker process cannot
 #                  hang CI; the transport test suite additionally arms a
 #                  per-test SIGALRM guard (tests/transport/conftest.py)
+#   make perfbench-selftest - the end-to-end benchmark's own self-tests
+#                  at tiny sizes: every declared metric and unit, seeded
+#                  inputs, the output and conservation checks of each
+#                  workload (transport-burst drives TransportCluster)
 
 PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: check test bench bench-gate bench-update simulate-smoke \
 	simulate-overload simulate-faults decode-smoke engines-smoke \
-	transport-smoke advise-smoke
+	transport-smoke advise-smoke perfbench-selftest
 
 check: test bench-gate engines-smoke simulate-smoke simulate-overload \
-	simulate-faults decode-smoke transport-smoke advise-smoke
+	simulate-faults decode-smoke transport-smoke advise-smoke \
+	perfbench-selftest
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -101,6 +106,9 @@ decode-smoke:
 transport-smoke:
 	PYTHONPATH=$(PYTHONPATH) timeout 600 $(PYTHON) -m repro.cli \
 		run transport_multicore --fast
+
+perfbench-selftest:
+	$(PYTHON) -m pytest -q perfbench/selftest.py
 
 advise-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli advise \

@@ -1,9 +1,10 @@
 """Legacy setup shim.
 
-The primary build configuration lives in ``pyproject.toml``; this file
-exists so that ``pip install -e .`` works in offline environments whose
-pip/setuptools cannot perform PEP 660 editable installs (no ``wheel``
-package available).
+The build configuration lives in ``pyproject.toml``.  This file exists
+so that ``python setup.py develop`` can install the package and its
+``salo-repro`` command in offline environments without the ``wheel``
+package, where ``pip install -e .`` fails with ``invalid command
+'bdist_wheel'``.
 """
 
 from setuptools import setup

@@ -27,7 +27,8 @@ SLO at a given traffic level?*  Layered on the serving stack:
   down -> rejoined`` lifecycle and the conservation law gains a terminal
   ``failed`` bucket.
 * :mod:`repro.cluster.simulator` / :mod:`repro.cluster.metrics` — the
-  heap-driven event loop and the :class:`ClusterReport` (per-class
+  one control plane (a heap-driven event loop over a cost-model or a
+  wall-clock executor) and the :class:`ClusterReport` (per-class
   percentiles, goodput, utilisation, queue-depth time series,
   availability and recovery counters under faults).
 * :mod:`repro.cluster.decode` — the decode phase: continuous-batching

@@ -434,12 +434,10 @@ class MetricsCollector:
         for w in workers:
             # A worker still marked down when the run drains has an open
             # downtime window: close it at the measurement horizon.
-            downtime = getattr(w, "downtime_s", 0.0)
-            down_since = getattr(w, "down_since_s", None)
-            if down_since is not None:
-                downtime += max(self.last_complete_s - down_since, 0.0)
+            downtime = w.downtime_s
+            if w.down_since_s is not None:
+                downtime += max(self.last_complete_s - w.down_since_s, 0.0)
             total_downtime += downtime
-            delays = getattr(w, "detect_delays", [])
             worker_reports.append(
                 WorkerReport(
                     wid=w.wid,
@@ -451,11 +449,11 @@ class MetricsCollector:
                     stolen_in=w.stolen_in,
                     cold_compiles=w.cold_compiles,
                     plan_cache=w.salo.cache_info(),
-                    crashes=getattr(w, "crashes", 0),
-                    rejoins=getattr(w, "rejoins", 0),
-                    breaker_trips=getattr(getattr(w, "breaker", None), "trips", 0),
+                    crashes=w.crashes,
+                    rejoins=w.rejoins,
+                    breaker_trips=w.breaker.trips if w.breaker is not None else 0,
                     downtime_s=downtime,
-                    detect_s=float(np.mean(delays)) if delays else 0.0,
+                    detect_s=float(np.mean(w.detect_delays)) if w.detect_delays else 0.0,
                 )
             )
         horizon = makespan * max(len(worker_reports), 1)

@@ -295,7 +295,8 @@ class Worker:
             pad_to_bucket=pad_to_bucket,
         )
         self.busy = False
-        self.inflight = 0  # requests in the batch currently executing
+        self.running = 0  # batches executing
+        self.inflight = 0  # requests in the batches executing
         self.busy_s = 0.0  # accumulated service time
         self.batches = 0
         self.served = 0
@@ -306,7 +307,6 @@ class Worker:
         # --- lifecycle / health (see repro.cluster.faults) ---
         self.alive = True  # ground truth: does the process exist
         self.state = WORKER_UP  # what heartbeats have established
-        self.crash_epoch = 0  # invalidates in-flight completions on crash
         self.last_heartbeat_s = 0.0
         self.crashed_at_s: Optional[float] = None
         self.down_since_s: Optional[float] = None
@@ -336,11 +336,10 @@ class Worker:
 
     def crash(self, now: float) -> None:
         """The process dies.  Nothing else learns of it until heartbeats
-        time out: ``state`` stays as-is, arrivals keep routing here, and
-        the epoch bump silently invalidates the in-flight completion."""
+        time out: ``state`` stays as-is and arrivals keep routing here
+        (the simulator drops the in-flight completion)."""
         self.alive = False
         self.crashes += 1
-        self.crash_epoch += 1
         self.crashed_at_s = now
 
     def mark_down(self, now: float) -> None:
@@ -353,6 +352,7 @@ class Worker:
             self.detect_delays.append(now - self.crashed_at_s)
             self.crashed_at_s = None
         self.busy = False
+        self.running = 0
         self.inflight = 0
 
     def rejoin(self, now: float) -> None:
@@ -366,6 +366,7 @@ class Worker:
         self.last_heartbeat_s = now
         self.rejoins += 1
         self.busy = False
+        self.running = 0
         self.inflight = 0
         self.warm.clear()
         self.warm_plans.clear()
@@ -389,7 +390,8 @@ class Worker:
 
     def note_dispatch(self, batch: Batch, service_s: float, cold: bool) -> None:
         self.busy = True
-        self.inflight = batch.size
+        self.running += 1
+        self.inflight += batch.size
         self.busy_s += service_s
         self.batches += 1
         self.served += batch.size
@@ -398,9 +400,10 @@ class Worker:
         self.warm.add(batch.key)
         self.warm_plans.add(batch.plan_key())
 
-    def note_complete(self) -> None:
-        self.busy = False
-        self.inflight = 0
+    def note_complete(self, batch: Batch) -> None:
+        self.running -= 1
+        self.busy = self.running > 0
+        self.inflight -= batch.size
 
 
 class ServiceModel:

@@ -1,56 +1,47 @@
-"""Heap-driven discrete-event loop over the engine pool.
+"""The cluster's one control plane: a heap-driven discrete-event loop.
 
-Three event kinds drive the clock forward on every run:
+Three event kinds drive every run:
 
-* **arrival** — a request lands; the pool routes it to a worker, the
-  admission policy accepts it (or records a rejection — the overload
-  valve) and, if that worker is idle, its batch policy is consulted
-  immediately.  Policy consultations may also *shed* queued requests
-  whose deadlines became unreachable (``drop_expired``); rejected and
-  shed requests are terminal outcomes fed back to closed-loop sources
-  exactly like completions, preserving the conservation law
+* **arrival** — the pool routes the request, the admission policy
+  accepts it (or records a rejection — the overload valve) and, if the
+  worker has a free slot, its batch policy is consulted immediately.
+  Consultations may also *shed* queued requests whose deadlines became
+  unreachable (``drop_expired``).  Rejections and sheds are terminal
+  outcomes fed back to closed-loop sources like completions, so
   ``submitted == completed + rejected + shed + failed`` on every
   drained run.
-* **service-complete** — a worker finishes a batch: completions are
-  recorded, closed-loop sources may inject follow-up arrivals, the
-  worker steals work if its own queue ran dry, and the policy is
-  consulted for the next batch.
+* **service-complete** — completions are recorded, closed-loop sources
+  may inject follow-up arrivals, a dry worker steals work, and the
+  policy is consulted for the next batch.
 * **batch-close timer** — a holding policy (max-wait / size-latency)
-  named a future instant at which an open queue must be re-examined;
-  nothing else changes at that time, so the consultation is cheap.
+  named an instant at which an open queue must be re-examined.
 
 Two more fire only for shedding policies and fault runs respectively:
 
-* **expiry timer** — with ``drop_expired``, every admitted request with
-  a finite deadline arms a timer at its absolute deadline; at that
-  instant all already-doomed queued requests are shed, so expiry takes
-  effect *between* policy consultations too (an idle-queue request no
-  longer waits for the next arrival to be recognised as dead).
-* **fault events** — with a :class:`~repro.cluster.faults.FaultInjector`
-  configured, worker **crash**/**rejoin** instants come straight from
-  the specs, a periodic **heartbeat probe** detects silent crashes
-  (missed probes: ``up -> suspect -> down``, then the down worker's
-  orphans are requeued oldest-deadline-first or failed), and
-  **retry** timers re-enqueue transiently failed batch members after
-  capped exponential backoff.  Without an (active) injector none of
-  these events exist and the run is byte-identical to the fault-free
-  simulator.
+* **expiry timer** — with ``drop_expired``, each admitted request with a
+  finite deadline arms a timer at that deadline, which sheds every
+  already-doomed queued request *between* policy consultations too.
+* **fault events** — worker **crash**/**rejoin** instants from a
+  :class:`~repro.cluster.faults.FaultInjector`, periodic **heartbeat
+  probes** (``up -> suspect -> down``, then the down worker's orphans
+  are requeued oldest-deadline-first or failed), and **retry** timers
+  for transiently failed batch members (capped exponential backoff).
+  Without an active injector none of these exist and the run is
+  byte-identical to the fault-free simulator.
 
-Simulated time is whatever the configured
-:class:`~repro.cluster.pool.ServiceModel` says a batch costs — with the
-default :class:`~repro.cluster.pool.CostModelClock`, every duration
-derives from the paper's cycle model (``SALO.estimate``) and the run is
-fully deterministic: same seed, same report, no wall-clock reads (fault
-randomness comes from the injector's own seeded stream).  Ties in the
-event heap break by insertion order, which is itself deterministic.
+Where time comes from is an **executor**'s business (``launch`` a
+batch, answer a ``heartbeat``, ``drive`` the loop):
 
-The *measured* counterpart is :class:`~repro.transport.cluster.
-TransportCluster`: the same routing/retry/requeue semantics and the
-same :class:`~repro.cluster.metrics.MetricsCollector` accounting, but
-driven wall-clock over real :class:`~repro.transport.base.
-WorkerTransport` workers (including out-of-process ones that can
-genuinely be ``kill -9``'d) instead of this event heap.  Claims modelled
-here are cross-checked there; the conservation law is pinned in both.
+* :class:`CostModelExecutor` (the default) — virtual time: the
+  :class:`~repro.cluster.pool.ServiceModel` prices each batch and its
+  completion is a heap event.  With the default
+  :class:`~repro.cluster.pool.CostModelClock` every duration derives
+  from the paper's cycle model, and the run is fully deterministic: no
+  wall-clock reads, fault randomness from the injector's seeded stream,
+  heap ties broken by insertion order.
+* :class:`~repro.transport.cluster.TransportExecutor` — wall-clock time
+  on real :class:`~repro.transport.base.WorkerTransport` workers, which
+  can genuinely be ``kill -9``'d; heartbeats always run there.
 """
 
 from __future__ import annotations
@@ -75,7 +66,7 @@ from .metrics import MetricsCollector, ClusterReport, RequestRecord
 from .policy import BatchPolicy, GreedyFIFOPolicy, recovery_order
 from .pool import CircuitBreaker, CostModelClock, EnginePool, ServiceModel, Worker
 
-__all__ = ["SimConfig", "ClusterSimulator", "simulate"]
+__all__ = ["SimConfig", "ClusterSimulator", "CostModelExecutor", "simulate"]
 
 _ARRIVE, _COMPLETE, _TIMER = 0, 1, 2
 _EXPIRE, _CRASH, _REJOIN, _PROBE, _RETRY = 3, 4, 5, 6, 7
@@ -114,11 +105,48 @@ class SimConfig:
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
 
 
-class ClusterSimulator:
-    """Runs one :class:`~repro.cluster.arrivals.RequestSource` to empty."""
+class CostModelExecutor:
+    """Virtual time: a ServiceModel prices each batch; completions are heap events."""
 
-    def __init__(self, config: Optional[SimConfig] = None) -> None:
+    #: Batches one worker runs at once.
+    slots = 1
+    #: Heartbeat probes run only under an active fault injector.
+    probes = False
+
+    def launch(self, sim: "ClusterSimulator", worker: Worker, batch: Batch, now: float) -> None:
+        cold = worker.is_cold_plan(batch)
+        service = sim.config.service.service_s(worker, batch, cold)
+        failed = False
+        if sim._injector is not None:
+            service *= sim._injector.service_factor(worker.wid, now)
+            failed = sim._injector.dispatch_fails(worker.wid, now)
+        worker.note_dispatch(batch, service, cold)
+        serial = sim._track(worker, batch, now, now + service)
+        sim._push(now + service, _COMPLETE, (serial, failed))
+
+    def heartbeat(self, sim: "ClusterSimulator", worker: Worker, now: float) -> Optional[bool]:
+        """True: the worker answered.  False: it is silent (marked down
+        once silent for ``heartbeat_timeout_s``).  None: down right now."""
+        return worker.alive
+
+    def drive(self, sim: "ClusterSimulator") -> None:
+        heap, step = sim._heap, sim._step
+        while heap:
+            t, _, kind, payload = heapq.heappop(heap)
+            step(t, kind, payload)
+
+
+class ClusterSimulator:
+    """Runs one :class:`~repro.cluster.arrivals.RequestSource` to empty.
+
+    ``executor`` decides where time comes from (see the module
+    docstring); ``None`` is the :class:`CostModelExecutor`.
+    """
+
+    def __init__(self, config: Optional[SimConfig] = None, executor=None) -> None:
         self.config = config if config is not None else SimConfig()
+        self._executor = executor if executor is not None else CostModelExecutor()
+        self._slots = self._executor.slots
         cfg = self.config
         if cfg.salo_factory is SALO:
             factory_kwargs = {"backend": cfg.backend}
@@ -154,7 +182,9 @@ class ClusterSimulator:
                     min_samples=cfg.recovery.breaker_min_samples,
                     cooldown_s=cfg.recovery.breaker_cooldown_s,
                 )
-        self._inflight: Dict[int, Tuple[Batch, float, float]] = {}  # wid -> (batch, t0, t1)
+        # batch serial -> (worker, batch, dispatched, charged-until)
+        self._inflight: Dict[int, Tuple[Worker, Batch, float, float]] = {}
+        self._serial = 0
         self._lost: Dict[int, List[AttentionRequest]] = {}  # wid -> orphaned in-flight
         self._attempts: Dict[Hashable, int] = {}  # request id -> transient failures so far
         self._retries = 0
@@ -173,37 +203,32 @@ class ClusterSimulator:
         self._timer_armed[worker.wid] = t
         self._push(t, _TIMER, worker)
 
+    def _track(self, worker: Worker, batch: Batch, now: float, until: float) -> int:
+        """Record a launched batch as in flight; returns its serial.  A crash
+        refunds the ``busy_s`` charged for it past the crash instant (``until``)."""
+        self._serial += 1
+        self._inflight[self._serial] = (worker, batch, now, until)
+        return self._serial
+
     def _dispatch(self, worker: Worker, now: float) -> None:
-        """Consult the policy; launch a batch or arm its re-check timer.
+        """Fill free slots with the policy's batches, or arm its re-check timer.
 
         A dead worker never dispatches: a crashed-but-undetected one
         silently sits on its queue (that is what detection latency
         means), a marked-down one has no queue left to consult.
         """
-        if worker.busy or not worker.alive or not worker.healthy:
-            return
-        decision = self.config.policy.next_batch(worker.queue, now)
-        for req in decision.shed:
-            self._routed.pop(req.request_id, None)
-            self.metrics.note_shed(req, now)
-            self._drop_feedback(req, now)
-        batch = decision.batch
-        if batch is not None:
-            cold = worker.is_cold_plan(batch)
-            service = self.config.service.service_s(worker, batch, cold)
-            failed = False
-            if self._injector is not None:
-                service *= self._injector.service_factor(worker.wid, now)
-                failed = self._injector.dispatch_fails(worker.wid, now)
-            worker.note_dispatch(batch, service, cold)
-            self._inflight[worker.wid] = (batch, now, now + service)
-            self._push(
-                now + service,
-                _COMPLETE,
-                (worker, batch, now, worker.crash_epoch, failed),
-            )
-        elif decision.next_check_s is not None:
-            self._arm_timer(worker, decision.next_check_s, now)
+        while worker.running < self._slots and worker.alive and worker.healthy:
+            decision = self.config.policy.next_batch(worker.queue, now)
+            for req in decision.shed:
+                self._routed.pop(req.request_id, None)
+                self.metrics.note_shed(req, now)
+                self._drop_feedback(req, now)
+            batch = decision.batch
+            if batch is None:
+                if decision.next_check_s is not None:
+                    self._arm_timer(worker, decision.next_check_s, now)
+                return
+            self._executor.launch(self, worker, batch, now)
 
     def _drop_feedback(self, request: AttentionRequest, now: float) -> None:
         """Tell the source a request left the system without being served.
@@ -258,48 +283,39 @@ class ClusterSimulator:
             self._push(request.absolute_deadline_s, _EXPIRE, None)
         self._dispatch(worker, now)
 
-    def _on_complete(
-        self,
-        worker: Worker,
-        batch: Batch,
-        dispatched: float,
-        epoch: int,
-        failed: bool,
-        now: float,
-    ) -> None:
-        if epoch != worker.crash_epoch:
+    def _on_complete(self, serial: int, failed: bool, now: float) -> None:
+        entry = self._inflight.pop(serial, None)
+        if entry is None:
             # The worker crashed (and possibly rejoined) after launching
-            # this batch: the completion never happened.  Its members
-            # were captured as orphans at crash time and are recovered
-            # when the failure is detected — not here.
+            # this batch, so it never completed.  Its members became
+            # orphans at crash time and are recovered on detection.
             return
-        self._inflight.pop(worker.wid, None)
-        worker.note_complete()
+        worker, batch, dispatched, _ = entry
+        worker.note_complete(batch)
         if worker.breaker is not None:
             worker.breaker.record(not failed, now)
         if failed:
             self._retry_or_fail(batch, now)
-            self._dispatch(worker, now)
-            return
-        source_arrivals: List[AttentionRequest] = []
-        for req in batch.requests:
-            self._attempts.pop(req.request_id, None)
-            self.metrics.note_completion(
-                RequestRecord(
-                    request_id=req.request_id,
-                    slo_class=req.slo_class,
-                    arrival_s=req.arrival_s,
-                    dispatch_s=dispatched,
-                    complete_s=now,
-                    worker=worker.wid,
-                    batch_size=batch.size,
-                    deadline_s=req.deadline_s,
-                    stolen=self._routed.get(req.request_id, worker.wid) != worker.wid,
+        else:
+            source_arrivals: List[AttentionRequest] = []
+            for req in batch.requests:
+                self._attempts.pop(req.request_id, None)
+                self.metrics.note_completion(
+                    RequestRecord(
+                        request_id=req.request_id,
+                        slo_class=req.slo_class,
+                        arrival_s=req.arrival_s,
+                        dispatch_s=dispatched,
+                        complete_s=now,
+                        worker=worker.wid,
+                        batch_size=batch.size,
+                        deadline_s=req.deadline_s,
+                        stolen=self._routed.get(req.request_id, worker.wid) != worker.wid,
+                    )
                 )
-            )
-            source_arrivals.extend(self._source.on_complete(req, now))
-        for req in source_arrivals:
-            self._push(max(req.arrival_s, now), _ARRIVE, req)
+                source_arrivals.extend(self._source.on_complete(req, now))
+            for req in source_arrivals:
+                self._push(max(req.arrival_s, now), _ARRIVE, req)
         self._dispatch(worker, now)
 
     def _balance(self, now: float) -> None:
@@ -398,11 +414,10 @@ class ClusterSimulator:
         worker = self.pool.workers[wid]
         if not worker.alive:
             return  # overlapping crash specs: already dead
-        meta = self._inflight.pop(wid, None)
-        if meta is not None:
-            batch, _, end_s = meta
+        for serial in [s for s, entry in self._inflight.items() if entry[0] is worker]:
+            _, batch, _, until = self._inflight.pop(serial)
             # The unfinished remainder of the batch never ran.
-            worker.busy_s -= max(0.0, end_s - now)
+            worker.busy_s -= max(0.0, until - now)
             self._lost.setdefault(wid, []).extend(batch.requests)
         worker.crash(now)
 
@@ -419,8 +434,11 @@ class ClusterSimulator:
         self._dispatch(worker, now)
 
     def _mark_down(self, worker: Worker, now: float) -> None:
+        if worker.alive:
+            # A wall-clock worker found dead or silent: as far as the
+            # cluster can tell, it crashed when it was last heard from.
+            self._on_crash(worker.wid, worker.last_heartbeat_s)
         worker.mark_down(now)
-        self._inflight.pop(worker.wid, None)
         orphans = self._lost.pop(worker.wid, [])
         orphans.extend(worker.queue.prune(lambda r: True))
         if orphans:
@@ -430,26 +448,77 @@ class ClusterSimulator:
         """Heartbeat sweep: refresh live workers, time out silent ones."""
         rec = self._recovery
         for worker in self.pool.workers:
-            if worker.alive:
+            if not worker.healthy:
+                if worker.queue.pending:
+                    # Arrivals routed while every worker was down: drain
+                    # them so the run cannot wedge on an unreachable queue.
+                    self._recover_requests(worker.queue.prune(lambda r: True), now)
+                continue
+            heard = self._executor.heartbeat(self, worker, now)
+            if heard:
                 worker.last_heartbeat_s = now
-                if worker.state == WORKER_SUSPECT:
-                    worker.state = WORKER_UP
-            elif worker.healthy:
-                if worker.state == WORKER_UP:
-                    worker.state = WORKER_SUSPECT
-                if now - worker.last_heartbeat_s >= rec.heartbeat_timeout_s:
-                    self._mark_down(worker, now)
-            elif worker.queue.pending:
-                # Arrivals routed while every worker was down: drain them
-                # so the run cannot wedge on an unreachable queue.
-                self._recover_requests(worker.queue.prune(lambda r: True), now)
-        if (
-            self._heap
-            or self.pool.pending
-            or any(w.busy for w in self.pool.workers)
-            or any(self._lost.values())
-        ):
+                worker.state = WORKER_UP
+                continue
+            worker.state = WORKER_SUSPECT
+            if heard is None or now - worker.last_heartbeat_s >= rec.heartbeat_timeout_s:
+                self._mark_down(worker, now)
+        if self._heap or self.pool.pending or self.pool.busy_workers or any(self._lost.values()):
             self._push(now + rec.heartbeat_interval_s, _PROBE, None)
+
+    # ------------------------------------------------------------------
+    def _step(self, t: float, kind: int, payload: object) -> None:
+        """Handle one event at ``t``, then rebalance and sample."""
+        if kind == _ARRIVE:
+            self._on_arrive(payload, t)
+        elif kind == _COMPLETE:
+            self._on_complete(payload[0], payload[1], t)
+        elif kind == _TIMER:
+            if t >= self._timer_armed.get(payload.wid, math.inf):
+                del self._timer_armed[payload.wid]
+            self._dispatch(payload, t)
+        elif kind == _EXPIRE:
+            self._on_expire(t)
+        elif kind == _CRASH:
+            self._on_crash(payload, t)
+        elif kind == _REJOIN:
+            self._on_rejoin(payload, t)
+        elif kind == _PROBE:
+            self._on_probe(t)
+        else:  # _RETRY
+            self._on_retry(payload, t)
+        self._balance(t)
+        self.metrics.sample(t, self.pool.pending, self.pool.busy_workers)
+
+    # Hooks for wall-clock executors, whose clock and completions live
+    # outside the heap.
+    def complete(self, serial: int, failed: bool, now: float) -> None:
+        """Batch ``serial`` came back at ``now`` (ok, or a transient error)."""
+        self._step(now, _COMPLETE, (serial, failed))
+
+    def advance(self, now: float) -> None:
+        """Handle, at ``now``, every heap event due by ``now``."""
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            _, _, kind, payload = heapq.heappop(heap)
+            self._step(now, kind, payload)
+
+    def outstanding(self) -> bool:
+        """A request is unaccounted for, or an event other than the
+        heartbeat (which re-arms only while work remains) is pending."""
+        m = self.metrics
+        return m.submitted > len(m.records) + len(m.drops) or any(e[2] != _PROBE for e in self._heap)
+
+    def abort(self, now: float) -> None:
+        """Terminally fail every submitted request still in the system."""
+        stranded = [r for _, batch, _, _ in self._inflight.values() for r in batch.requests]
+        stranded += [r for orphans in self._lost.values() for r in orphans]
+        stranded += [r for w in self.pool.workers for r in w.queue.prune(lambda r: True)]
+        stranded += [payload for _, _, kind, payload in self._heap if kind == _RETRY]
+        self._inflight.clear()
+        self._lost.clear()
+        self._heap.clear()
+        for request in stranded:
+            self.metrics.note_failed(request, now)
 
     # ------------------------------------------------------------------
     def run(self, source: RequestSource) -> ClusterReport:
@@ -462,31 +531,9 @@ class ClusterSimulator:
                 self._push(t, _CRASH, wid)
             for t, wid in self._injector.rejoin_events():
                 self._push(t, _REJOIN, wid)
+        if self._injector is not None or self._executor.probes:
             self._push(self._recovery.heartbeat_interval_s, _PROBE, None)
-        while self._heap:
-            t, _, kind, payload = heapq.heappop(self._heap)
-            if kind == _ARRIVE:
-                self._on_arrive(payload, t)
-            elif kind == _COMPLETE:
-                worker, batch, dispatched, epoch, failed = payload
-                self._on_complete(worker, batch, dispatched, epoch, failed, t)
-            elif kind == _TIMER:
-                worker = payload
-                if self._timer_armed.get(worker.wid) is not None and t >= self._timer_armed[worker.wid]:
-                    del self._timer_armed[worker.wid]
-                self._dispatch(worker, t)
-            elif kind == _EXPIRE:
-                self._on_expire(t)
-            elif kind == _CRASH:
-                self._on_crash(payload, t)
-            elif kind == _REJOIN:
-                self._on_rejoin(payload, t)
-            elif kind == _PROBE:
-                self._on_probe(t)
-            else:  # _RETRY
-                self._on_retry(payload, t)
-            self._balance(t)
-            self.metrics.sample(t, self.pool.pending, self.pool.busy_workers)
+        self._executor.drive(self)
         lost = sum(len(v) for v in self._lost.values())
         if self.pool.pending or lost:  # pragma: no cover - policy bug guard
             raise RuntimeError(
@@ -494,11 +541,11 @@ class ClusterSimulator:
                 f"requests still queued and {lost} lost in-flight (policy "
                 "never closed a batch, or recovery never ran)"
             )
+        return self.report()
+
+    def report(self) -> ClusterReport:
         return self.metrics.report(
-            self.pool.workers,
-            self.pool.steals,
-            retries=self._retries,
-            requeues=self._requeues,
+            self.pool.workers, self.pool.steals, retries=self._retries, requeues=self._requeues
         )
 
 

@@ -1,14 +1,12 @@
 """The :class:`WorkerTransport` protocol: how a driver talks to one worker.
 
-The cluster layer was built around a *dispatch-outcome* seam — a worker
-receives a batch, and either a :data:`~repro.cluster.faults.DISPATCH_OK`
-completion comes back with outputs, a
-:data:`~repro.cluster.faults.DISPATCH_ERROR` completion comes back with
-an error, or **nothing comes back at all** (the worker died mid-batch)
-and only missed heartbeats reveal it.  The simulator models that seam;
-this package *implements* it, so the same recovery machinery (detection,
-retry, requeue, the four-way conservation law) runs against real worker
-processes.
+A worker receives a batch, and either a
+:data:`~repro.cluster.faults.DISPATCH_OK` completion comes back with
+outputs, a :data:`~repro.cluster.faults.DISPATCH_ERROR` completion comes
+back with an error, or **nothing comes back at all** (the worker died
+mid-batch) and only missed heartbeats reveal it.  The cluster simulator
+handles all three; through :mod:`repro.transport.cluster` its recovery
+code runs against real worker processes.
 
 A transport owns exactly one worker.  The protocol is deliberately
 narrow and asynchronous:

@@ -388,7 +388,7 @@ class TestStealNeverTouchesInflight:
                 gained = queued_ids(thief) - before
                 inflight = {
                     r.request_id
-                    for batch, _, _ in sim._inflight.values()
+                    for _, batch, _, _ in sim._inflight.values()
                     for r in batch.requests
                 }
                 steals_seen.append(moved)

@@ -9,12 +9,20 @@ is SIGKILL'd mid-run, so the recovery paths the discrete-event suite
 models are exercised by a genuinely dead process.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterSimulator, CostModelClock, SimConfig
+from repro.cluster.arrivals import OpenLoopSource
+from repro.cluster.policy import GreedyFIFOPolicy
 from repro.patterns.library import longformer_pattern
 from repro.serving import AttentionRequest
+from repro.serving.admission import AdmitAll
+from repro.serving.trace import TraceSpec, pattern_families
 from repro.transport import (
+    InProcessTransport,
     TransportCluster,
     TransportClusterConfig,
     make_transport,
@@ -62,6 +70,108 @@ class TestInProcess:
         assert report.submitted == report.completed == 16
         assert report.failed == 0 and _conserved(report)
         assert all(w.served > 0 for w in report.workers)  # JSQ spread work
+
+    def test_drain_timeout_fails_what_is_left(self):
+        with TransportCluster(_config("inprocess", drain_timeout_s=1e-9)) as cluster:
+            report = cluster.run(_requests(16))
+        assert report.submitted == report.failed == 16
+        assert report.completed == 0 and _conserved(report)
+
+
+def _burst(num=32, seed=0):
+    """A seeded burst at t=0 over the three mixed-trace plan families."""
+    spec = TraceSpec(n=64, window=8, heads=2, head_dim=4, seed=seed)
+    families = pattern_families(spec)
+    rng = np.random.default_rng(seed)
+    hidden = spec.heads * spec.head_dim
+    out = []
+    for i, f in enumerate(rng.integers(len(families), size=num)):
+        pattern = families[int(f)]
+        q, k, v = (rng.standard_normal((pattern.n, hidden)) for _ in range(3))
+        out.append(
+            AttentionRequest(
+                request_id=i, pattern=pattern, q=q, k=k, v=v, heads=spec.heads
+            )
+        )
+    return out
+
+
+def _decisions(records):
+    return {r.request_id: (r.worker, r.batch_size) for r in records}
+
+
+class TestOneControlPlane:
+    def test_transport_and_cost_model_make_the_same_decisions(self):
+        """One fault-free burst, two executors: the wall-clock transport
+        run and the cost-model simulation route and batch identically."""
+        with TransportCluster(
+            _config("inprocess", max_inflight_per_worker=1)
+        ) as cluster:
+            measured = cluster.run(_burst())
+            measured_records = list(cluster.metrics.records)
+        sim = ClusterSimulator(
+            SimConfig(
+                workers=2,
+                max_batch_size=4,
+                steal=False,
+                affinity_miss_prob=1.0,
+                policy=GreedyFIFOPolicy(),
+                admission=AdmitAll(),
+                service=CostModelClock.flat(),
+            )
+        )
+        modelled = sim.run(OpenLoopSource(_burst()))
+        for report in (measured, modelled):
+            assert report.submitted == report.completed == 32
+            assert _conserved(report)
+        assert _decisions(measured_records) == _decisions(sim.metrics.records)
+        assert [w.batches for w in measured.workers] == [
+            w.batches for w in modelled.workers
+        ]
+
+
+def _flaky_transport(wid, failures, errored=None):
+    """An in-process worker whose engine raises on its first submits.
+
+    The sizes of the batches that raised are appended to ``errored``.
+    """
+    transport = InProcessTransport(wid=wid)
+    attend = transport.runtime.attend
+    left = {"n": failures}
+
+    def flaky_attend(pattern, q, *args, **kwargs):
+        if left["n"] > 0:
+            left["n"] -= 1
+            if errored is not None:
+                errored.append(q.shape[0])
+            raise RuntimeError("injected engine fault")
+        return attend(pattern, q, *args, **kwargs)
+
+    transport.runtime.attend = flaky_attend
+    return transport
+
+
+class TestTransportRetry:
+    def test_dispatch_errors_retry_to_completion(self):
+        transports = [_flaky_transport(0, 2), _flaky_transport(1, 1)]
+        with TransportCluster(_config("inprocess"), transports=transports) as cluster:
+            report = cluster.run(_requests(16))
+        assert report.retries > 0
+        assert report.failed == 0
+        assert report.submitted == report.completed == 16
+        assert _conserved(report)
+
+    def test_zero_retry_budget_fails_the_errored_batches(self):
+        errored = []
+        transports = [_flaky_transport(0, 2, errored), _flaky_transport(1, 0)]
+        config = _config("inprocess", max_retries=0)
+        with TransportCluster(config, transports=transports) as cluster:
+            report = cluster.run(_requests(16))
+        assert report.retries == 0
+        assert len(errored) == 2
+        assert report.failed == sum(errored)
+        assert report.completed + report.failed == report.submitted == 16
+        assert _conserved(report)
 
 
 class TestMultiprocess:
@@ -134,6 +244,13 @@ class TestConfig:
             ("max_batch_size", 0),
             ("max_inflight_per_worker", 0),
             ("max_retries", -1),
+            ("heartbeat_interval_s", 0.0),
+            ("heartbeat_timeout_s", -1.0),
+            ("stall_timeout_s", 0.0),
+            ("drain_timeout_s", math.nan),
+            ("drain_timeout_s", 0.0),
+            ("poll_timeout_s", -0.001),
+            ("poll_timeout_s", math.nan),
         ],
     )
     def test_bounds_validated(self, field, value):
