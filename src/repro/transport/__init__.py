@@ -22,7 +22,7 @@ from .cluster import (
 )
 from .inprocess import InProcessTransport
 from .multiprocess import MultiprocessTransport, default_context
-from .shm import ShmBatch, ShmLayout, attach
+from .shm import ShmLayout, ShmSlot, attach
 
 __all__ = [
     "WorkerTransport",
@@ -39,7 +39,7 @@ __all__ = [
     "TransportClusterConfig",
     "TRANSPORTS",
     "make_transport",
-    "ShmBatch",
+    "ShmSlot",
     "ShmLayout",
     "attach",
 ]

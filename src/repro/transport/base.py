@@ -35,8 +35,9 @@ Drivers
   Today's single-process behaviour, byte-identical outputs.
 * :class:`~repro.transport.multiprocess.MultiprocessTransport` — a
   worker process owning its own warm :class:`~repro.api.Runtime`;
-  operands travel through ``multiprocessing.shared_memory`` segments
-  (the worker maps the same pages — no serialisation of Q/K/V), small
+  operands travel through a small pool of reusable, parent-owned
+  ``multiprocessing.shared_memory`` slots (the worker maps each slot
+  once and reads the same pages — no serialisation of Q/K/V), small
   control messages through queues.  True parallelism: N transports are
   N python processes, N GILs.
 """

@@ -14,24 +14,33 @@ cost-model arithmetic.
 
 Wire format (per batch)
 -----------------------
-* One ``multiprocessing.shared_memory`` segment, parent-allocated, laid
-  out ``q | k | v | out`` as contiguous float64 ``(b, n, hidden)``
-  regions (:mod:`repro.transport.shm`).  Q/K/V are written once by the
-  parent and *mapped* — never pickled, never re-copied — by the worker.
+* One free **slot** from the transport's pool of parent-owned
+  ``multiprocessing.shared_memory`` segments (:mod:`repro.transport.shm`).
+  The parent writes Q/K/V into its front as contiguous float64
+  ``(b, n, hidden)`` regions laid out ``q | k | v | out``; the worker
+  *maps* them — never pickled, never re-copied.  A slot carries one
+  batch at a time and returns to the pool once its completion has been
+  absorbed and the output copied out, so the pool grows only to the
+  peak number of batches in flight.  When no free slot holds
+  ``4·b·n·hidden`` float64, a new one is created; a free slot too small
+  for the batch is retired instead of kept.
 * One control message on the request queue:
-  ``("submit", batch_id, shm_name, layout, pattern, heads, valid_lens)``
-  — everything small enough that pickling is noise.
+  ``("submit", batch_id, slot_name, layout, pattern, heads, valid_lens)``
+  — everything small enough that pickling is noise.  The worker maps a
+  slot the first time its name arrives and keeps it mapped;
+  ``("retire", slot_name)`` tells it to unmap one, after which the
+  parent unlinks it.
 * One completion message on the completion queue:
   ``("done", batch_id, outcome, error, service_s)`` with the output
-  already sitting in the segment's ``out`` region.
+  already sitting in the slot's ``out`` region.
 
 Crash semantics
 ---------------
 :meth:`kill` delivers ``SIGKILL`` — the real thing, not a simulation.
 A killed worker sends nothing: its in-flight batches simply never
-complete, probes go unanswered, ``alive`` flips false, and the segments
-of lost batches are reclaimed by the parent during cleanup.  This is
-exactly the failure signature the cluster's heartbeat detection and
+complete, probes go unanswered, ``alive`` flips false, and the slots of
+lost batches stay parent-owned until :meth:`close` unlinks them.  This
+is exactly the failure signature the cluster's heartbeat detection and
 requeue recovery were built against, which is the point: the recovery
 paths the simulator models are exercised here by an actual dead process.
 """
@@ -43,6 +52,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing as mp
+from multiprocessing import shared_memory
 
 from .base import (
     DISPATCH_ERROR,
@@ -52,7 +62,7 @@ from .base import (
     TransportRequest,
     WorkerTransport,
 )
-from .shm import ShmBatch, ShmLayout, attach
+from .shm import ShmSlot, attach
 
 __all__ = ["MultiprocessTransport", "default_context"]
 
@@ -74,15 +84,17 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
     ``warm_specs`` is a list of ``(pattern, heads, head_dim)`` triples
     compiled before the worker reports ready, so steady-state traffic never pays
     a cold compile (the transport analogue of plan-affinity warmth).
-    Runs until a ``("stop",)`` message; every exception inside a dispatch
-    is converted to a :data:`DISPATCH_ERROR` completion rather than
-    killing the loop — only signals kill a worker.
+    Slots stay mapped, keyed by name, until a ``("retire", name)``
+    message or process exit.  Runs until a ``("stop",)`` message; every
+    exception inside a dispatch is converted to a :data:`DISPATCH_ERROR`
+    completion rather than killing the loop — only signals kill a worker.
     """
     from ..api import Runtime  # late import: after fork/spawn
 
     runtime = Runtime(runtime_config)
     for pattern, heads, head_dim in warm_specs:
         runtime.warm([pattern], heads=heads, head_dim=head_dim)
+    mapped: Dict[str, shared_memory.SharedMemory] = {}
     done_q.put(("ready", wid))
     while True:
         msg = req_q.get()
@@ -90,36 +102,34 @@ def _worker_main(wid, runtime_config, warm_specs, req_q, done_q) -> None:
         if kind == "stop":
             break
         if kind == "ping":
-            done_q.put(("pong", msg[1]))
-            continue
-        if kind == "stats":
+            done_q.put(("pong",))
+        elif kind == "stats":
             done_q.put(("stats", runtime.cache_info()))
-            continue
-        # ("submit", batch_id, shm_name, layout, pattern, heads, valid_lens)
-        _, batch_id, shm_name, layout, pattern, heads, valid_lens = msg
-        t0 = time.perf_counter()
-        try:
-            shm = attach(shm_name)
-            try:
-                q, k, v, out = ShmBatch.views(shm, layout)
-                result = runtime.attend(
-                    pattern, q, k, v, heads=heads, valid_lens=valid_lens
-                )
-                out[...] = result.output
-            finally:
+        elif kind == "retire":
+            shm = mapped.pop(msg[1], None)
+            if shm is not None:
                 shm.close()
-        except Exception as exc:
-            done_q.put(
-                (
-                    "done",
-                    batch_id,
-                    DISPATCH_ERROR,
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - t0,
-                )
-            )
-            continue
-        done_q.put(("done", batch_id, DISPATCH_OK, None, time.perf_counter() - t0))
+        else:
+            done_q.put(_serve(runtime, mapped, *msg[1:]))
+
+
+def _serve(runtime, mapped, batch_id, name, layout, pattern, heads, valid_lens) -> tuple:
+    """Run one batch out of slot ``name``; returns its completion message.
+
+    The operand views die with this frame, so a later ``retire`` can
+    unmap the slot with nothing pointing into it.
+    """
+    t0 = time.perf_counter()
+    try:
+        shm = mapped.get(name)
+        if shm is None:
+            shm = mapped[name] = attach(name)
+        q, k, v, out = ShmSlot.views(shm, layout)
+        out[...] = runtime.attend(pattern, q, k, v, heads=heads, valid_lens=valid_lens).output
+    except Exception as exc:
+        return ("done", batch_id, DISPATCH_ERROR, f"{type(exc).__name__}: {exc}",
+                time.perf_counter() - t0)
+    return ("done", batch_id, DISPATCH_OK, None, time.perf_counter() - t0)
 
 
 class MultiprocessTransport(WorkerTransport):
@@ -171,10 +181,10 @@ class MultiprocessTransport(WorkerTransport):
         self._ctx = mp.get_context(context or default_context())
         self._req_q = self._ctx.Queue()
         self._done_q = self._ctx.Queue()
-        self._pending: Dict[int, ShmBatch] = {}
+        self._pending: Dict[int, ShmSlot] = {}
+        self._free: List[ShmSlot] = []
         self._ready: List[Completion] = []
-        self._pongs: set = set()
-        self._ping_serial = 0
+        self._heard = False  # a pong arrived since the last answered probe
         self._last_stats: Optional[dict] = None
         self._closed = False
         self._process = self._ctx.Process(
@@ -209,19 +219,44 @@ class MultiprocessTransport(WorkerTransport):
     def submit(self, request: TransportRequest) -> None:
         if self._closed or not self.alive:
             raise TransportClosed(f"worker {self.wid} is not accepting work")
-        block = ShmBatch.pack(request.q, request.k, request.v)
-        self._pending[request.batch_id] = block
+        slot = self._take_slot(4 * request.q.nbytes)
+        layout = slot.write(request.q, request.k, request.v)
+        self._pending[request.batch_id] = slot
         self._req_q.put(
             (
                 "submit",
                 request.batch_id,
-                block.name,
-                block.layout,
+                slot.name,
+                layout,
                 request.pattern,
                 request.heads,
                 request.valid_lens,
             )
         )
+
+    def _take_slot(self, nbytes: int) -> ShmSlot:
+        """The smallest free slot of at least ``nbytes``, else a new one.
+
+        A new slot replaces the smallest free one (too small, or it
+        would have been taken), so the pool never outgrows the peak
+        number of batches in flight.  The worker unmaps the retired slot
+        before the parent unlinks it.
+        """
+        fits = [slot for slot in self._free if slot.capacity >= nbytes]
+        if fits:
+            slot = min(fits, key=lambda s: s.capacity)
+            self._free.remove(slot)
+            return slot
+        if self._free:
+            retired = min(self._free, key=lambda s: s.capacity)
+            self._free.remove(retired)
+            self._req_q.put(("retire", retired.name))
+            retired.destroy()
+        return ShmSlot(nbytes)
+
+    def _slots(self) -> List[ShmSlot]:
+        """Every slot this transport owns: free and in flight."""
+        return self._free + list(self._pending.values())
 
     # ------------------------------------------------------------------
     def _absorb(self, msg) -> None:
@@ -229,12 +264,12 @@ class MultiprocessTransport(WorkerTransport):
         kind = msg[0]
         if kind == "done":
             _, batch_id, outcome, error, service_s = msg
-            block = self._pending.pop(batch_id, None)
+            slot = self._pending.pop(batch_id, None)
             output = None
-            if block is not None and outcome == DISPATCH_OK:
-                output = block.read_output()
-            if block is not None:
-                block.destroy()
+            if slot is not None:
+                if outcome == DISPATCH_OK:
+                    output = slot.read_output()
+                self._free.append(slot)
             self._ready.append(
                 Completion(
                     batch_id=batch_id,
@@ -245,7 +280,7 @@ class MultiprocessTransport(WorkerTransport):
                 )
             )
         elif kind == "pong":
-            self._pongs.add(msg[1])
+            self._heard = True
         elif kind == "stats":
             self._last_stats = msg[1]
 
@@ -271,29 +306,28 @@ class MultiprocessTransport(WorkerTransport):
     def probe(self, timeout_s: float = 0.1) -> bool:
         """Ping the worker loop; completions arriving meanwhile are kept.
 
-        A worker that is mid-batch cannot answer until the batch ends
-        (its loop is single-threaded, like a GPU worker saturating its
-        device) — callers treat an unanswered probe on a *busy* worker
-        as load, not death; a dead process fails instantly via
-        ``alive``.
+        The queue is drained at least once, so ``timeout_s=0`` works: a
+        pong answering an earlier, unanswered probe counts as hearing
+        from the worker.  A worker that is mid-batch cannot answer until
+        the batch ends (its loop is single-threaded, like a GPU worker
+        saturating its device) — callers treat an unanswered probe on a
+        *busy* worker as load, not death; a dead process fails instantly
+        via ``alive``.
         """
         if self._closed or not self.alive:
             return False
-        self._ping_serial += 1
-        token = (self.wid, self._ping_serial)
         try:
-            self._req_q.put(("ping", token))
+            self._req_q.put(("ping",))
         except (ValueError, OSError):  # queue closed under us
             return False
         deadline = time.perf_counter() + timeout_s
-        while time.perf_counter() < deadline:
-            self._drain(timeout_s=min(0.02, timeout_s))
-            if token in self._pongs:
-                self._pongs.discard(token)
+        while True:
+            self._drain(timeout_s=min(0.02, max(0.0, deadline - time.perf_counter())))
+            if self._heard:
+                self._heard = False
                 return True
-            if not self.alive:
+            if not self.alive or time.perf_counter() >= deadline:
                 return False
-        return False
 
     def cache_info(self) -> dict:
         """Worker-reported plan-cache counters (last known on timeout)."""
@@ -320,7 +354,10 @@ class MultiprocessTransport(WorkerTransport):
         return len(self._pending)
 
     def kill(self) -> None:
-        """SIGKILL the worker process; in-flight batches are lost."""
+        """SIGKILL the worker process; in-flight batches are lost.
+
+        Their slots stay parent-owned (never reused) until :meth:`close`.
+        """
         if self._process is not None and self._process.is_alive():
             self._process.kill()
             self._process.join(timeout=5.0)
@@ -337,9 +374,10 @@ class MultiprocessTransport(WorkerTransport):
                 pass
             if self._process.is_alive():
                 self.kill()
-        # Reclaim segments of batches that never completed (lost work).
-        for block in self._pending.values():
-            block.destroy()
+        # Unlink every slot, including those of lost batches.
+        for slot in self._slots():
+            slot.destroy()
+        self._free.clear()
         self._pending.clear()
         for q in (self._req_q, self._done_q):
             q.cancel_join_thread()

@@ -1,19 +1,26 @@
-"""Shared-memory tensor blocks: zero-copy operand shipping.
+"""Shared-memory tensor slots: zero-copy operand shipping.
 
-One :class:`ShmBatch` backs one in-flight batch.  The parent allocates a
-single ``multiprocessing.shared_memory`` segment laid out as four
-contiguous float64 regions — ``q | k | v | out`` — writes the operands
-in, and ships only the segment *name* plus shape metadata over the
-control queue.  The worker process maps the same physical pages, builds
-``numpy`` views over them (no copy, no pickle for tensor data), runs the
-engine, and writes the stacked output into the ``out`` region before
-sending its tiny completion message.  The parent then reads the output
-view and unlinks the segment.
+One :class:`ShmSlot` is one parent-owned ``multiprocessing.shared_memory``
+segment that carries batch after batch.  For each batch the parent
+writes the operands into the front of the slot as four contiguous
+float64 regions — ``q | k | v | out``, each ``(b, n, hidden)`` — and
+ships only the slot *name* plus the batch's :class:`ShmLayout` over the
+control queue.  The worker process maps the slot once, builds ``numpy``
+views over the same physical pages for every batch it carries (no copy,
+no pickle for tensor data), runs the engine, and writes the stacked
+output into the ``out`` region before sending its tiny completion
+message.  The parent copies the output out and the slot is free for the
+next batch; only a slot too small for a later batch, or transport close,
+unlinks it.
+
+Reuse is the point: creating, page-faulting and unlinking a fresh
+segment per batch (and attaching and closing it again in the worker)
+cost several times the operand writes themselves.
 
 Ownership is strictly parent-side: workers never *create* segments, so a
 ``kill -9``'d worker can leak nothing the parent does not already hold a
-handle to — :meth:`ShmBatch.destroy` (or transport close) reclaims every
-segment of every lost batch.
+handle to — :meth:`ShmSlot.destroy` (run on every slot by transport
+close) reclaims the slots of lost batches too.
 
 Python's ``resource_tracker`` complicates the attach side: before 3.13,
 attaching to an existing segment also *registers* it with the resource
@@ -36,7 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ShmBatch", "ShmLayout", "attach"]
+__all__ = ["ShmSlot", "ShmLayout", "attach"]
 
 _FLOAT = np.float64
 
@@ -48,7 +55,7 @@ def attach(name: str) -> shared_memory.SharedMemory:
 
 @dataclass(frozen=True)
 class ShmLayout:
-    """Shape metadata shipped alongside a segment name (picklable, tiny)."""
+    """Shape metadata shipped alongside a slot name (picklable, tiny)."""
 
     shape: Tuple[int, int, int]  # (b, n, hidden) of each region
 
@@ -73,30 +80,33 @@ class ShmLayout:
         )
 
 
-class ShmBatch:
-    """Parent-side handle on one batch's shared segment.
+class ShmSlot:
+    """Parent-side handle on one reusable shared segment.
 
-    Built by :meth:`pack`; the worker side maps the same segment via
-    :meth:`views`.  ``destroy()`` is idempotent and must eventually be
-    called exactly once per packed batch (normally after the completion
-    is consumed; on worker death, during transport cleanup).
+    :meth:`write` lays a batch's operands into the slot; the worker side
+    maps the same segment and reads it through :meth:`views`;
+    :meth:`read_output` copies the result back out.  ``destroy()`` is
+    idempotent and must eventually be called exactly once per slot
+    (when the slot is retired, or at transport close).
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, layout: ShmLayout) -> None:
-        self.shm: Optional[shared_memory.SharedMemory] = shm
-        self.layout = layout
+    def __init__(self, nbytes: int) -> None:
+        self.shm: Optional[shared_memory.SharedMemory] = shared_memory.SharedMemory(
+            create=True, size=nbytes
+        )
+        self.capacity = nbytes
+        self.layout: Optional[ShmLayout] = None  # of the batch last written
 
     # ------------------------------------------------------------------
-    @classmethod
-    def pack(cls, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> "ShmBatch":
-        """Allocate a segment and write the stacked operands into it."""
+    def write(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> ShmLayout:
+        """Write stacked operands into the slot; returns their layout."""
         layout = ShmLayout(shape=tuple(q.shape))  # type: ignore[arg-type]
-        shm = shared_memory.SharedMemory(create=True, size=layout.total_bytes)
-        buf = shm.buf
+        buf = self._live().buf
         layout.region(buf, 0)[...] = q
         layout.region(buf, 1)[...] = k
         layout.region(buf, 2)[...] = v
-        return cls(shm, layout)
+        self.layout = layout
+        return layout
 
     @staticmethod
     def views(
@@ -114,20 +124,20 @@ class ShmBatch:
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
+        return self._live().name
+
+    def _live(self) -> shared_memory.SharedMemory:
         if self.shm is None:
-            raise ValueError("segment already destroyed")
-        return self.shm.name
+            raise ValueError("slot already destroyed")
+        return self.shm
 
     def read_output(self) -> np.ndarray:
         """Copy the worker-written ``out`` region into caller-owned memory.
 
-        A copy on purpose: the caller's result must outlive
-        :meth:`destroy`, and a view over unlinked shared memory would
-        dangle.
+        A copy on purpose: the next batch written into the slot
+        overwrites the region, and a destroyed slot's view would dangle.
         """
-        if self.shm is None:
-            raise ValueError("segment already destroyed")
-        return np.array(self.layout.region(self.shm.buf, 3))
+        return np.array(self.layout.region(self._live().buf, 3))
 
     def destroy(self) -> None:
         """Close and unlink the segment (idempotent)."""

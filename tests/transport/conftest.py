@@ -8,11 +8,17 @@ when the budget expires the alarm handler raises in the main thread,
 pytest reports a normal failure, and session teardown still runs (so
 leaked workers are reaped by the transports' own ``close``/daemon
 semantics rather than orphaned by a killed suite).
+
+A second guard fails any test that leaves a new POSIX shared-memory
+segment (``/dev/shm/psm_*``, the default ``shared_memory`` name) behind:
+transports own every segment they create and must unlink each one by
+``close``, whether its batch completed or was lost with a killed worker.
 """
 
 from __future__ import annotations
 
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +43,22 @@ def _per_test_timeout():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+SHM_DIR = Path("/dev/shm")
+
+
+def _segments() -> set:
+    return {p.name for p in SHM_DIR.glob("psm_*")}
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_segments():
+    if not SHM_DIR.is_dir():
+        yield
+        return
+    before = _segments()
+    yield
+    leaked = sorted(_segments() - before)
+    if leaked:
+        pytest.fail(f"test left shared-memory segments behind: {leaked}")

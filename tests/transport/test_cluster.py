@@ -218,6 +218,24 @@ class TestMultiprocess:
         assert report.requeues == 0
         assert report.completed + report.failed == 16
 
+    def test_zero_poll_timeout_keeps_the_idle_worker_up(self):
+        """``poll_timeout_s=0`` probes idle workers without waiting.  The
+        pong that answers an earlier probe still counts, so while one
+        worker serves a long request the idle one never goes down."""
+        pattern = longformer_pattern(2048, 256)
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((pattern.n, 16)) for _ in range(3))
+        request = AttentionRequest(request_id=0, pattern=pattern, q=q, k=k, v=v, heads=2)
+        config = _config(
+            "multiprocess", heartbeat_interval_s=0.05, heartbeat_timeout_s=0.2,
+            poll_timeout_s=0.0,
+        )
+        with TransportCluster(config) as cluster:
+            report = cluster.run([request])
+        assert report.completed == 1
+        assert report.availability == 1.0
+        assert all(w.crashes == 0 for w in report.workers)
+
     def test_all_workers_dead_fails_everything_terminally(self):
         def tick(cluster, now):
             cluster.kill_worker(0)

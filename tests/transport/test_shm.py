@@ -1,14 +1,18 @@
-"""Shared-memory wire format: layout math, round-trips, ownership."""
+"""Shared-memory wire format: layout math, slot round-trips, ownership."""
 
 import numpy as np
 import pytest
 
-from repro.transport.shm import ShmBatch, ShmLayout, attach
+from repro.transport.shm import ShmLayout, ShmSlot, attach
 
 
 def _operands(b=2, n=16, hidden=8, seed=0):
     rng = np.random.default_rng(seed)
     return tuple(rng.standard_normal((b, n, hidden)) for _ in range(3))
+
+
+def _slot_for(q):
+    return ShmSlot(4 * q.nbytes)
 
 
 class TestLayout:
@@ -20,51 +24,64 @@ class TestLayout:
 
     def test_regions_are_disjoint_views(self):
         q, k, v = _operands()
-        block = ShmBatch.pack(q, k, v)
+        slot = _slot_for(q)
         try:
-            buf = block.shm.buf
-            regions = [block.layout.region(buf, i) for i in range(4)]
+            layout = slot.write(q, k, v)
+            buf = slot.shm.buf
+            regions = [layout.region(buf, i) for i in range(4)]
             regions[3][...] = 7.0
             # Writing the out region must not disturb the operands.
             assert np.array_equal(regions[0], q)
             assert np.array_equal(regions[1], k)
             assert np.array_equal(regions[2], v)
         finally:
-            block.destroy()
+            slot.destroy()
 
 
-class TestShmBatch:
-    def test_pack_views_read_output_roundtrip(self):
+class TestShmSlot:
+    def test_write_views_read_output_roundtrip(self):
         q, k, v = _operands(seed=3)
-        block = ShmBatch.pack(q, k, v)
+        slot = _slot_for(q)
         try:
-            peer = attach(block.name)
+            peer = attach(slot.name)
             try:
-                wq, wk, wv, wout = ShmBatch.views(peer, block.layout)
-                assert np.array_equal(wq, q)
-                assert np.array_equal(wk, k)
-                assert np.array_equal(wv, v)
-                wout[...] = wq + wk  # "worker" writes its result
+                # Two batches through one mapping: the second, smaller one
+                # is laid out at the front of the same slot.
+                for b in (2, 1):
+                    layout = slot.write(q[:b], k[:b], v[:b])
+                    wq, wk, wv, wout = ShmSlot.views(peer, layout)
+                    assert np.array_equal(wq, q[:b])
+                    assert np.array_equal(wk, k[:b])
+                    assert np.array_equal(wv, v[:b])
+                    wout[...] = wq + wk  # "worker" writes its result
+                    del wq, wk, wv, wout
+                    out = slot.read_output()
+                    assert np.array_equal(out, q[:b] + k[:b])
             finally:
                 peer.close()
-            out = block.read_output()
-            assert np.array_equal(out, q + k)
             # read_output copies: the result survives destroy().
-            block.destroy()
-            assert np.array_equal(out, q + k)
+            slot.destroy()
+            assert np.array_equal(out, q[:1] + k[:1])
         finally:
-            block.destroy()
+            slot.destroy()
 
     def test_destroy_is_idempotent(self):
-        block = ShmBatch.pack(*_operands())
-        block.destroy()
-        block.destroy()  # second call is a no-op, not an error
-        assert block.shm is None
+        slot = _slot_for(_operands()[0])
+        slot.destroy()
+        slot.destroy()  # second call is a no-op, not an error
+        assert slot.shm is None
 
-    def test_destroyed_block_refuses_access(self):
-        block = ShmBatch.pack(*_operands())
-        block.destroy()
+    def test_destroyed_slot_refuses_access(self):
+        q, k, v = _operands()
+        slot = _slot_for(q)
+        name = slot.name
+        slot.write(q, k, v)
+        slot.destroy()
         with pytest.raises(ValueError):
-            _ = block.name
+            _ = slot.name
         with pytest.raises(ValueError):
-            block.read_output()
+            slot.read_output()
+        with pytest.raises(ValueError):
+            slot.write(q, k, v)
+        with pytest.raises(FileNotFoundError):
+            attach(name)  # unlinked, not just closed
